@@ -79,8 +79,9 @@ func runServe(seed uint64, n, steps, subs int) (*serveResult, error) {
 	changes := slices.Concat(inst.Build, inst.Drive)
 
 	// A local reference replay tells the subscribers how many events the
-	// run produces, so each can read exactly that many and hang up.
-	ref, err := dynmis.New(dynmis.WithSeed(seed))
+	// run produces, so each can read exactly that many and hang up. It
+	// runs the server's engine, EngineTemplate.
+	ref, err := dynmis.New(dynmis.WithSeed(seed), dynmis.WithEngine(dynmis.EngineTemplate))
 	if err != nil {
 		return nil, err
 	}

@@ -197,6 +197,37 @@ func TestDriveWindowEqualsBatchApplication(t *testing.T) {
 	}
 }
 
+// TestOneShardReportsEqualTemplate pins that EngineSharded at one shard
+// runs the Template's apply path: equal seeds and changes give Reports
+// equal field for field, per change and per window, including |S|, flips
+// and cascade steps.
+func TestOneShardReportsEqualTemplate(t *testing.T) {
+	cs := churnStream(43, 100, 2000)
+	for _, window := range []int{1, 40} {
+		tpl := dynmis.MustNew(dynmis.WithSeed(8), dynmis.WithEngine(dynmis.EngineTemplate))
+		sh := dynmis.MustNew(dynmis.WithSeed(8), dynmis.WithEngine(dynmis.EngineSharded), dynmis.WithShards(1))
+		apply := func(m *dynmis.Maintainer, w []dynmis.Change) dynmis.Report {
+			var rep dynmis.Report
+			var err error
+			if len(w) == 1 {
+				rep, err = m.Apply(w[0])
+			} else {
+				rep, err = m.ApplyBatch(w)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+		for lo := 0; lo < len(cs); lo += window {
+			w := cs[lo:min(lo+window, len(cs))]
+			if want, got := apply(tpl, w), apply(sh, w); got != want {
+				t.Fatalf("window %d at change %d: sharded %v, template %v", window, lo, got, want)
+			}
+		}
+	}
+}
+
 func TestDriveStopsOnRejectedChange(t *testing.T) {
 	m := dynmis.MustNew(dynmis.WithSeed(1))
 	cs := []dynmis.Change{

@@ -18,9 +18,9 @@
 //     with the M/M̄/C/R state machine — O(1) rounds and broadcasts.
 //   - EngineAsyncDirect: the direct implementation over an asynchronous
 //     event network with an adversarial scheduler — expected causal depth 1.
-//   - EngineSharded: the sharded concurrent engine — the template cascade
-//     executed by P worker goroutines over a partitioned vertex space,
-//     built for sustained update throughput (see internal/shard and
+//   - EngineSharded: the sharded concurrent engine — the template, whose
+//     windows with enough cascade seeds are recovered by P worker
+//     goroutines over a partitioned vertex space (see internal/shard and
 //     docs/ARCHITECTURE.md).
 //   - EngineSequential: the paper's §6 single-machine data structure —
 //     the same greedy-under-π structure maintained with a π-ordered dirty
@@ -168,10 +168,11 @@ const (
 	EngineProtocol
 	// EngineAsyncDirect is the asynchronous direct implementation.
 	EngineAsyncDirect
-	// EngineSharded is the sharded concurrent engine: windows of updates
-	// are staged serially and recovered by a parallel cascade across P
-	// vertex shards. Same structure as every other engine for equal
-	// seeds, highest sustained update throughput.
+	// EngineSharded is the sharded concurrent engine: the template, whose
+	// windows of updates are staged serially and, when they carry enough
+	// cascade seeds, recovered by a parallel cascade across P vertex
+	// shards. Same structure as every other engine for equal seeds; at
+	// one shard, the same Reports as EngineTemplate.
 	EngineSharded
 	// EngineSequential is the §6 single-machine data structure: the same
 	// greedy-under-π structure, maintained with a π-ordered dirty queue

@@ -49,14 +49,19 @@ func ArenaMemory(g *graph.Graph, auxBytes int64) metrics.Memory {
 	return m
 }
 
-// MemoryProfile accounts the template engine: the arena plus the
-// slot-indexed cascade scratch lanes, the ID-space window scratch and
-// the order's priority table. The touched/flips maps are O(window)
-// scratch cleared between windows and are deliberately not estimated.
+// MemoryProfile accounts the template engine: the arena plus ScratchBytes.
 func (t *Template) MemoryProfile() metrics.Memory {
-	aux := int64(cap(t.seen))*8 +
-		int64(cap(t.flipCnt)+cap(t.flipped)+cap(t.cand)+cap(t.next)+cap(t.violated))*4 +
+	return ArenaMemory(t.g, t.ScratchBytes())
+}
+
+// ScratchBytes is the template's storage beside the arena: the
+// slot-indexed cascade lanes, the cascade worklists, the ID-space window
+// scratch and the order's priority table. The touched/flips maps are
+// O(window) scratch cleared between windows and are deliberately not
+// estimated. An engine built on the Template adds its own storage to this.
+func (t *Template) ScratchBytes() int64 {
+	l := &t.lanes
+	return int64(cap(l.Mark)+cap(l.FlipCnt)+cap(l.Flipped)+cap(t.cand)+cap(t.next))*4 +
 		int64(cap(t.frontier)+cap(t.preFlips))*8 +
 		t.ord.MemBytes()
-	return ArenaMemory(t.g, aux)
 }

@@ -30,13 +30,16 @@ type Report struct {
 	// of causally dependent message deliveries.
 	CausalDepth int
 	// CrossShard counts cascade hand-offs that crossed a shard boundary
-	// in the sharded concurrent engine — the serialization points of a
-	// parallel window. Theorem 1's E[|S|] ≤ 1 bounds its expectation by
-	// O(1) per change regardless of the shard count.
+	// in the sharded concurrent engine's parallel windows — their
+	// serialization points. Windows the parallel cascade declines run the
+	// Template's synchronous cascade and report zero. Theorem 1's
+	// E[|S|] ≤ 1 bounds its expectation by O(1) per change regardless of
+	// the shard count.
 	CrossShard int
 	// Steals counts work-steal operations in the sharded concurrent
-	// engine: an idle worker taking queued slots from a busier shard.
-	// Scheduling-dependent, so not deterministic across runs.
+	// engine's parallel windows: an idle worker taking queued slots from
+	// a busier shard. Scheduling-dependent, so not deterministic across
+	// runs.
 	Steals int
 	// Work counts primitive adjacency-entry examinations — the
 	// single-machine update-time measure used by the sequential structure

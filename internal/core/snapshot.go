@@ -58,6 +58,17 @@ func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 // invariant, so a tampered snapshot is rejected.
 func RestoreTemplate(s *Snapshot, seed uint64) (*Template, error) {
 	t := NewTemplateWithOrder(order.New(seed))
+	if err := RestoreInto(t, s); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// RestoreInto fills the empty engine t from a snapshot and validates the
+// result. It is the one restore path: engines built on the Template
+// restore through it after configuring their empty arena (the sharded
+// engine partitions its free-list before any node is added).
+func RestoreInto(t *Template, s *Snapshot) error {
 	// Insert nodes in ascending ID order, then edges; memberships are
 	// restored verbatim and validated at the end. The arena is presized so
 	// the rebuild neither reallocates nor rehashes.
@@ -66,18 +77,18 @@ func RestoreTemplate(s *Snapshot, seed uint64) (*Template, error) {
 	slices.SortFunc(sorted, func(a, b SnapshotNode) int { return cmp.Compare(a.ID, b.ID) })
 	for _, n := range sorted {
 		if err := t.g.AddNode(n.ID); err != nil {
-			return nil, fmt.Errorf("core: restore: %w", err)
+			return fmt.Errorf("core: restore: %w", err)
 		}
 		t.ord.Set(n.ID, n.Priority)
 		t.state.Set(n.ID, Membership(n.InMIS))
 	}
 	for _, e := range s.Edges {
 		if err := t.g.AddEdge(e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("core: restore: %w", err)
+			return fmt.Errorf("core: restore: %w", err)
 		}
 	}
 	if err := t.Check(); err != nil {
-		return nil, fmt.Errorf("core: restore: snapshot inconsistent: %w", err)
+		return fmt.Errorf("core: restore: snapshot inconsistent: %w", err)
 	}
-	return t, nil
+	return nil
 }

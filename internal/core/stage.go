@@ -60,11 +60,13 @@ type Staged struct {
 
 // StageChange validates c against g, applies its topology mutation, and
 // performs the order and membership bookkeeping that must precede the
-// recovery cascade. It is the single staging path shared by
-// Template.Apply, Template.ApplyBatch and the sharded concurrent engine,
-// so all of them agree exactly on how π evolves (priorities are drawn by
-// ord.Ensure in staging order, which is what makes engines with equal
-// seeds and equal change sequences bit-compatible).
+// recovery cascade. It is the staging step of every Template window —
+// Apply, ApplyBatch, and the sharded engine's windows, which are Template
+// windows with a parallel cascade — and the per-change sequence the other
+// π-equivalent engines follow, so all of them agree exactly on how π
+// evolves (priorities are drawn by ord.Ensure in staging order, which is
+// what makes engines with equal seeds and equal change sequences
+// bit-compatible).
 //
 // On a validation error nothing has been mutated.
 func StageChange(g *graph.Graph, ord *order.Order, state StateStore, c graph.Change) (Staged, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dynmis/internal/graph"
 	"dynmis/internal/order"
@@ -30,6 +31,12 @@ import (
 // Per-update cost accounting is O(touched): only the nodes a window staged
 // or flipped are examined, never the whole state (Theorem 1 makes that set
 // expected-constant per change).
+//
+// The fixpoint is unique for a fixed graph and π, so how it is evaluated is
+// the Template's one seam: an engine may plug in a ParallelCascade
+// (internal/shard does), which every window offers its resolved seeds to
+// before the synchronous cascade runs. Staging, flip recording, accounting
+// and the feed are the same code either way.
 type Template struct {
 	g     *graph.Graph
 	ord   *order.Order
@@ -37,18 +44,12 @@ type Template struct {
 	steps int // safety counter for the last cascade
 	feed  Feed
 	coll  *metrics.Collector // nil while instrumentation is disabled
+	par   ParallelCascade    // nil: every window cascades synchronously
 
-	// Slot-indexed cascade scratch, reused across windows. seen carries a
-	// per-step epoch stamp (deduplicates candidates without a map);
-	// flipCnt/flipped record the cascade's flips sparsely so resetting is
-	// O(|S|), not O(n).
-	seen     []uint64
-	epoch    uint64
-	flipCnt  []int32
-	flipped  []int32
-	cand     []int32
-	next     []int32
-	violated []int32
+	// Slot-indexed cascade scratch, reused across windows.
+	lanes Lanes
+	cand  []int32
+	next  []int32
 
 	// Window scratch.
 	one      [1]graph.Change
@@ -56,6 +57,46 @@ type Template struct {
 	preFlips []graph.NodeID
 	touched  map[graph.NodeID]Touched
 	flips    map[graph.NodeID]int
+}
+
+// Lanes is the Template's slot-indexed cascade scratch: 8 bytes per arena
+// slot, sized to the arena at the start of every cascade and never
+// cleared in O(n).
+type Lanes struct {
+	// Mark is the queued mark: nonzero while a slot waits for evaluation.
+	// The synchronous cascade sets it on enqueue and clears it on
+	// evaluation; a ParallelCascade uses the same lane as its atomic
+	// per-slot state machine, with 1 meaning queued. It is all-zero
+	// between windows.
+	Mark []uint32
+	// FlipCnt counts each slot's flips in the current window and Flipped
+	// lists the slots whose count left zero, so the next window resets
+	// the counts in O(|S|).
+	FlipCnt []int32
+	Flipped []int32
+}
+
+// CascadeCounts is a ParallelCascade's routing account of one window.
+type CascadeCounts struct {
+	// Handoffs counts flipped nodes' later-in-π neighbors routed back into
+	// the worklist; CrossShard is the subset whose slot another shard
+	// owns.
+	Handoffs, CrossShard int
+	// Steals counts work-steal operations; it depends on scheduling.
+	Steals int
+}
+
+// ParallelCascade evaluates a window's flip fixpoint on several workers.
+// Cascade receives the window's resolved, deduplicated seed slots, each
+// already marked 1 (queued) in l.Mark, while the graph and order are
+// frozen. It either declines, touching nothing, and returns false — the
+// Template then runs its synchronous cascade over the same seeds — or runs
+// the fixpoint to quiescence and returns true. A run must record every
+// flip in l.FlipCnt and l.Flipped (each flip toggles one membership, which
+// is what lets the Template recover pre-cascade memberships from flip
+// parity) and leave l.Mark all-zero.
+type ParallelCascade interface {
+	Cascade(seeds []int32, l *Lanes) (CascadeCounts, bool)
 }
 
 // Template implements the full engine surface plus the persistence and
@@ -76,12 +117,19 @@ func NewTemplate(seed uint64) *Template {
 // NewTemplateWithOrder returns an engine using a caller-supplied order,
 // allowing several engines (or an oracle) to share the same π.
 func NewTemplateWithOrder(ord *order.Order) *Template {
+	return NewParallelTemplate(ord, nil)
+}
+
+// NewParallelTemplate is NewTemplateWithOrder with a parallel cascade that
+// every window offers its seeds to first (nil for none).
+func NewParallelTemplate(ord *order.Order, par ParallelCascade) *Template {
 	g := graph.New()
 	ord.Attach(g)
 	return &Template{
 		g:       g,
 		ord:     ord,
 		state:   NewState(g),
+		par:     par,
 		touched: make(map[graph.NodeID]Touched),
 		flips:   make(map[graph.NodeID]int),
 	}
@@ -106,8 +154,14 @@ func (t *Template) State() map[graph.NodeID]Membership { return t.state.Map() }
 // View returns the live dense membership view (read-only for callers).
 func (t *Template) View() State { return t.state }
 
-// Check verifies the MIS invariant on the current configuration.
-func (t *Template) Check() error { return CheckInvariantOn(t.g, t.ord, t.state) }
+// Check verifies the MIS invariant on the current configuration, and that
+// the last window left the queued-mark lane all-zero.
+func (t *Template) Check() error {
+	if i := slices.IndexFunc(t.lanes.Mark, func(m uint32) bool { return m != 0 }); i >= 0 {
+		return fmt.Errorf("core: cascade left slot %d marked %d", i, t.lanes.Mark[i])
+	}
+	return CheckInvariantOn(t.g, t.ord, t.state)
+}
 
 // Subscribe registers a change-feed callback; see Feed.
 func (t *Template) Subscribe(fn func(Event)) { t.feed.Subscribe(fn) }
@@ -167,7 +221,7 @@ func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
 		t.frontier = append(t.frontier, staged.Frontier...)
 	}
 
-	steps, cerr := t.cascade(t.frontier)
+	steps, hops, cerr := t.cascade(t.frontier)
 	if cerr != nil {
 		if stageErr != nil {
 			return Report{}, fmt.Errorf("%w (and prefix recovery failed: %v)", stageErr, cerr)
@@ -189,12 +243,13 @@ func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
 	for _, v := range t.preFlips {
 		t.flips[v] = 1
 	}
-	for _, s := range t.flipped {
+	l := &t.lanes
+	for _, s := range l.Flipped {
 		v := t.g.IDAt(int(s))
-		t.flips[v] += int(t.flipCnt[s])
+		t.flips[v] += int(l.FlipCnt[s])
 		if _, seen := t.touched[v]; !seen {
 			m := t.state.At(int(s))
-			if t.flipCnt[s]%2 == 1 {
+			if l.FlipCnt[s]%2 == 1 {
 				m = !m
 			}
 			t.touched[v] = Touched{Present: true, M: m}
@@ -214,6 +269,8 @@ func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
 		rep.Flips += n
 	}
 	rep.Adjustments = adj
+	rep.CrossShard = hops.CrossShard
+	rep.Steals = hops.Steals
 
 	// Instrumentation folds quantities already computed for the Report
 	// and the O(touched) accounting — nothing is measured twice, and a
@@ -226,45 +283,59 @@ func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
 		mc.Flips += uint64(rep.Flips)
 		mc.CascadeSteps += uint64(steps)
 		mc.TouchedSlots += uint64(len(t.touched))
+		mc.Handoffs += uint64(hops.Handoffs)
+		mc.CrossShard += uint64(hops.CrossShard)
+		mc.Steals += uint64(hops.Steals)
 	}
 	return rep, nil
 }
 
-// cascade runs the synchronous flip fixpoint starting from the given
-// candidate set, recording flips in the slot-indexed scratch. It returns
-// the number of synchronous steps in which at least one node flipped.
-func (t *Template) cascade(frontier []graph.NodeID) (int, error) {
+// cascade runs the flip fixpoint starting from the given candidate set,
+// recording flips in the slot-indexed lanes. The window's resolved seeds
+// go to the parallel cascade first, if there is one; if it runs, cascade
+// returns its routing account and zero steps. Otherwise the synchronous
+// cascade runs and cascade returns the number of steps in which at least
+// one node flipped.
+func (t *Template) cascade(frontier []graph.NodeID) (int, CascadeCounts, error) {
 	// Reset the previous window's flip records sparsely, then make sure
-	// the slot-indexed scratch covers the arena.
-	for _, s := range t.flipped {
-		t.flipCnt[s] = 0
+	// the slot-indexed lanes cover the arena.
+	l := &t.lanes
+	for _, s := range l.Flipped {
+		l.FlipCnt[s] = 0
 	}
-	t.flipped = t.flipped[:0]
-	if n := t.g.Slots(); len(t.seen) < n {
-		t.seen = append(t.seen, make([]uint64, n-len(t.seen))...)
-		t.flipCnt = append(t.flipCnt, make([]int32, n-len(t.flipCnt))...)
+	l.Flipped = l.Flipped[:0]
+	if n := t.g.Slots(); len(l.Mark) < n {
+		l.Mark = append(l.Mark, make([]uint32, n-len(l.Mark))...)
+		l.FlipCnt = append(l.FlipCnt, make([]int32, n-len(l.FlipCnt))...)
 	}
 
-	cand, next, violated := t.cand[:0], t.next[:0], t.violated[:0]
-	defer func() { t.cand, t.next, t.violated = cand[:0], next[:0], violated[:0] }()
+	// Every slot in cand or next carries the queued mark, and every exit
+	// below leaves the mark lane all-zero: marks are cleared as cand is
+	// evaluated, and only a step that goes on marks next.
+	cand, next := t.cand[:0], t.next[:0]
+	defer func() { t.cand, t.next = cand[:0], next[:0] }()
 	for _, v := range frontier {
 		// Frontier entries staged away later in the same window no longer
 		// resolve; their former neighbors were seeded separately.
-		if i, ok := t.g.Index(v); ok {
+		if i, ok := t.g.Index(v); ok && l.Mark[i] == 0 {
+			l.Mark[i] = 1
 			cand = append(cand, int32(i))
+		}
+	}
+	if t.par != nil && len(cand) > 0 {
+		if hops, ok := t.par.Cascade(cand, l); ok {
+			return 0, hops, nil
 		}
 	}
 
 	steps := 0
 	limit := 2*t.g.NodeCount() + 10
 	for len(cand) > 0 {
-		t.epoch++
-		violated = violated[:0]
+		// Evaluate every candidate before flipping any, compacting the
+		// violated ones to the front of cand.
+		violated := cand[:0]
 		for _, s := range cand {
-			if t.seen[s] == t.epoch {
-				continue
-			}
-			t.seen[s] = t.epoch
+			l.Mark[s] = 0
 			if t.state.At(int(s)) != t.shouldBeInAt(int(s)) {
 				violated = append(violated, s)
 			}
@@ -274,17 +345,17 @@ func (t *Template) cascade(frontier []graph.NodeID) (int, error) {
 		}
 		steps++
 		if steps > limit {
-			return steps, fmt.Errorf("core: cascade did not converge after %d steps", steps)
+			return steps, CascadeCounts{}, fmt.Errorf("core: cascade did not converge after %d steps", steps)
 		}
 		// Flip simultaneously. A violated node's target is always the
 		// complement of its current state (membership is binary), so the
 		// simultaneous commit is a plain toggle.
 		for _, s := range violated {
 			t.state.SetAt(int(s), !t.state.At(int(s)))
-			if t.flipCnt[s] == 0 {
-				t.flipped = append(t.flipped, s)
+			if l.FlipCnt[s] == 0 {
+				l.Flipped = append(l.Flipped, s)
 			}
-			t.flipCnt[s]++
+			l.FlipCnt[s]++
 		}
 		// New violations can only appear at nodes ordered after a node
 		// that just flipped (the invariant looks only at earlier
@@ -292,14 +363,15 @@ func (t *Template) cascade(frontier []graph.NodeID) (int, error) {
 		next = next[:0]
 		for _, s := range violated {
 			for _, nb := range t.g.NeighborSlots(int(s)) {
-				if t.g.LessAt(int(s), int(nb)) {
+				if t.g.LessAt(int(s), int(nb)) && l.Mark[nb] == 0 {
+					l.Mark[nb] = 1
 					next = append(next, nb)
 				}
 			}
 		}
 		cand, next = next, cand
 	}
-	return steps, nil
+	return steps, CascadeCounts{}, nil
 }
 
 // shouldBeInAt is ShouldBeIn in slot space: an array walk over the

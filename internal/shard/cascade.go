@@ -11,11 +11,11 @@ import (
 	"dynmis/internal/simnet"
 )
 
-// Per-slot cascade states. Every arena slot carries one uint32 in the
-// engine's flags lane forming a tiny state machine that provides both
-// deduplication (the old mailbox's queued-set) and single-flight
-// execution (the old design's one-consumer-per-shard guarantee, which
-// work-stealing would otherwise break):
+// Per-slot cascade states. The parallel cascade runs on the Template's
+// queued-mark lane (core.Lanes.Mark): every arena slot's uint32 forms a
+// tiny state machine that provides both deduplication and single-flight
+// execution (one evaluator per slot at a time, which work-stealing would
+// otherwise break):
 //
 //	stIdle ──enqueue──▶ stQueued ──pop──▶ stRunning ──done──▶ stIdle
 //	                                          │  ▲
@@ -29,6 +29,8 @@ import (
 // of an earlier-in-π neighbor can be missed. All transitions are
 // sequentially consistent atomics, which is what carries the
 // happens-before edge from a neighbor's lane write to the re-run's read.
+// stIdle and stQueued are the Template's own unmarked and marked values,
+// so the seeds arrive queued and the lane is all-zero between windows.
 const (
 	stIdle uint32 = iota
 	stQueued
@@ -37,9 +39,9 @@ const (
 )
 
 const (
-	// serialSeedCutoff is the seed count below which a window's cascade
-	// runs inline on the coordinator with no locks at all: spawning P
-	// workers for a handful of seeds costs more than the cascade.
+	// serialSeedCutoff is the seed count up to which a window's cascade
+	// is left to the Template's synchronous evaluator: spawning P workers
+	// for a handful of seeds costs more than the cascade.
 	serialSeedCutoff = 32
 	// outboxFlush caps a per-destination outbox before it is force-flushed
 	// mid-round, bounding the latency of a cross-shard hand-off batch.
@@ -55,6 +57,16 @@ const (
 	stealBatch = 32
 )
 
+// shardPart is one slot partition's synchronization point. The membership
+// bytes themselves live in the shared arena lane; the shard lock guards
+// exactly the lane bytes of the slots this shard owns. The padding keeps
+// neighboring shards' locks off one cache line, so lock traffic on one
+// shard does not false-share with its neighbors.
+type shardPart struct {
+	mu sync.RWMutex
+	_  [40]byte
+}
+
 // worker is one cascade worker's private state: its shared deque (where
 // cross-shard batches arrive and thieves steal from), its private run
 // stack, per-destination outbox rings, and window scratch. Everything
@@ -64,12 +76,11 @@ type worker struct {
 	deque   simnet.Deque
 	local   []int32   // private LIFO run stack (not stealable)
 	out     [][]int32 // per-destination outbox rings, flushed in batches
-	touched []int32   // slots this worker first-flipped in the window
+	flipped []int32   // slots this worker first-flipped in the window
 
-	localHops int // hand-offs staying inside the flipped slot's own shard
-	crossHops int // hand-offs crossing an ownership boundary
-	steals    int // successful steal operations by this worker
-	stolen    int // slots acquired by those steals
+	handoffs int // later-in-π neighbors routed after a flip
+	cross    int // the subset owned by another shard
+	steals   int // successful steal operations by this worker
 }
 
 // parkLot is the cascade's idle coordination: workers that find no
@@ -83,169 +94,145 @@ type parkLot struct {
 	done    bool
 }
 
-// growScratch sizes the per-slot lanes (cascade flags, flip counts,
-// first pre-flip memberships) to the arena. New entries are zero —
-// stIdle, no flips — and the lanes are returned to all-zero by the
-// cascade itself (flags) and by account (flip lanes), so no O(n) clear
-// ever happens: per-window cost stays O(touched).
-func (e *Engine) growScratch() {
-	n := e.g.Slots()
-	if len(e.flags) < n {
-		e.flags = append(e.flags, make([]uint32, n-len(e.flags))...)
-		e.flipCount = append(e.flipCount, make([]uint32, n-len(e.flipCount))...)
-		e.firstBefore = append(e.firstBefore, make([]byte, n-len(e.firstBefore))...)
-	}
+// parallel is the work-stealing evaluator of the flip fixpoint, plugged
+// into the engine's Template as its core.ParallelCascade.
+type parallel struct {
+	g       *graph.Graph
+	state   core.State
+	shards  []*shardPart
+	workers []*worker
+
+	// The running window's lanes, lent by the Template for one Cascade.
+	mark    []uint32 // per-slot cascade state, accessed atomically
+	flipCnt []int32  // flips of this slot in the window (single-flight)
+
+	pending   atomic.Int64 // queued + requeued slots in the running cascade
+	lot       parkLot      // idle-worker parking for the running cascade
+	seedBatch [][]int32    // per-owner seed staging, reused across windows
+
+	// forceParallel makes Cascade accept every window, so tests exercise
+	// the worker/stealing machinery even on single-processor runtimes and
+	// for tiny seed sets.
+	forceParallel bool
 }
 
-// recordFlip accounts one flip of slot s, capturing the pre-flip
-// membership the first time the window's cascade touches s. The flip
-// lanes are written only by s's current runner (single-flight) and read
-// by the coordinator after the workers join.
-func (e *Engine) recordFlip(wk *worker, s int32, before core.Membership) {
-	if e.flipCount[s] == 0 {
-		if before == core.In {
-			e.firstBefore[s] = 2
-		} else {
-			e.firstBefore[s] = 1
+func newParallel(shards int) *parallel {
+	p := &parallel{
+		shards:    make([]*shardPart, shards),
+		workers:   make([]*worker, shards),
+		seedBatch: make([][]int32, shards),
+	}
+	for i := range p.shards {
+		p.shards[i] = &shardPart{}
+		p.workers[i] = &worker{out: make([][]int32, shards)}
+	}
+	p.lot.cond = sync.NewCond(&p.lot.mu)
+	return p
+}
+
+// owner maps a slot to its shard: contiguous ownerBlock-sized slot blocks,
+// round-robin across shards.
+func (p *parallel) owner(s int32) int {
+	return int(uint32(s) / ownerBlock % uint32(len(p.shards)))
+}
+
+// memBytes accounts the per-owner seed staging and each worker's deque,
+// run stack, outboxes and flip log.
+func (p *parallel) memBytes() int64 {
+	var n int64
+	for _, b := range p.seedBatch {
+		n += int64(cap(b)) * 4
+	}
+	for _, w := range p.workers {
+		n += int64(cap(w.local)+cap(w.flipped))*4 + w.deque.MemBytes()
+		for _, o := range w.out {
+			n += int64(cap(o)) * 4
 		}
-		wk.touched = append(wk.touched, s)
 	}
-	e.flipCount[s]++
+	return n
 }
 
-// runCascade executes the flip fixpoint from the given seed nodes.
-// During the cascade the graph and order are frozen, so workers exchange
-// raw slot indices. Small windows (and any window on a single-processor
-// runtime, where parallel workers could only timeshare) drain inline on
-// the coordinator with no locks; larger ones fan out to one worker per
-// shard with work stealing.
-func (e *Engine) runCascade(seeds []graph.NodeID) {
-	for _, wk := range e.workers {
-		wk.touched = wk.touched[:0]
+// Cascade implements core.ParallelCascade. It declines small windows (and
+// every window at P = 1 or on a single-processor runtime, where parallel
+// workers could only timeshare); otherwise it fans the seeds out to their
+// owners' deques, runs one worker per shard with work stealing until the
+// cascade quiesces, and folds the workers' flip logs and routing counts
+// into the window's lanes and account.
+func (p *parallel) Cascade(seeds []int32, l *core.Lanes) (core.CascadeCounts, bool) {
+	if !p.forceParallel && (len(p.shards) == 1 || len(seeds) <= serialSeedCutoff || runtime.GOMAXPROCS(0) == 1) {
+		return core.CascadeCounts{}, false
+	}
+	p.mark, p.flipCnt = l.Mark, l.FlipCnt
+	for _, wk := range p.workers {
+		wk.flipped = wk.flipped[:0]
 		wk.local = wk.local[:0]
-		wk.localHops, wk.crossHops, wk.steals, wk.stolen = 0, 0, 0, 0
+		wk.handoffs, wk.cross, wk.steals = 0, 0, 0
 	}
-	e.growScratch()
-	if len(seeds) == 0 {
-		return
-	}
-
-	// Resolve and deduplicate the seeds into per-owner batches. Seeds
-	// staged away later in the same window no longer resolve; their
-	// former neighbors were seeded separately.
-	npend := 0
-	for _, v := range seeds {
-		i, ok := e.g.Index(v)
-		if !ok {
-			continue
-		}
-		s := int32(i)
-		if atomic.CompareAndSwapUint32(&e.flags[s], stIdle, stQueued) {
-			npend++
-			d := e.owner(s)
-			e.seedBatch[d] = append(e.seedBatch[d], s)
-		}
-	}
-	if npend == 0 {
-		return
+	for _, s := range seeds {
+		d := p.owner(s)
+		p.seedBatch[d] = append(p.seedBatch[d], s)
 	}
 
-	if !e.forceParallel && (len(e.shards) == 1 || npend <= serialSeedCutoff || runtime.GOMAXPROCS(0) == 1) {
-		e.drainSerial()
-		return
-	}
-
-	e.pending.Store(int64(npend))
-	e.lot.done = false
-	e.lot.gen = 0
-	for d := range e.seedBatch {
-		if len(e.seedBatch[d]) > 0 {
-			e.workers[d].deque.PushBatch(e.seedBatch[d])
-			e.seedBatch[d] = e.seedBatch[d][:0]
+	p.pending.Store(int64(len(seeds)))
+	p.lot.done = false
+	p.lot.gen = 0
+	for d := range p.seedBatch {
+		if len(p.seedBatch[d]) > 0 {
+			p.workers[d].deque.PushBatch(p.seedBatch[d])
+			p.seedBatch[d] = p.seedBatch[d][:0]
 		}
 	}
 	var wg sync.WaitGroup
-	for w := range e.workers {
+	for w := range p.workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.runWorker(w)
+			p.runWorker(w)
 		}()
 	}
 	wg.Wait()
+
+	var c core.CascadeCounts
+	for _, wk := range p.workers {
+		l.Flipped = append(l.Flipped, wk.flipped...)
+		c.Handoffs += wk.handoffs
+		c.CrossShard += wk.cross
+		c.Steals += wk.steals
+	}
+	p.mark, p.flipCnt = nil, nil
+	return c, true
 }
 
-// drainSerial is the inline fast path: the same fixpoint, run by the
-// coordinator alone, so the membership lane needs no locks and the flags
-// lane no contended atomics. Hand-offs are still attributed local/cross
-// by slot ownership — the split measures ownership-boundary crossings,
-// which are a property of the flip sequence, not of which goroutine
-// happened to execute it.
-func (e *Engine) drainSerial() {
-	wk := e.workers[0]
-	stack := wk.local[:0]
-	for d := range e.seedBatch {
-		stack = append(stack, e.seedBatch[d]...)
-		e.seedBatch[d] = e.seedBatch[d][:0]
+// recordFlip accounts one flip of slot s. The flip lanes are written only
+// by s's current runner (single-flight) and read by the coordinator after
+// the workers join.
+func (p *parallel) recordFlip(wk *worker, s int32) {
+	if p.flipCnt[s] == 0 {
+		wk.flipped = append(wk.flipped, s)
 	}
-	for len(stack) > 0 {
-		n := len(stack) - 1
-		s := stack[n]
-		stack = stack[:n]
-		atomic.StoreUint32(&e.flags[s], stIdle)
-
-		cur := e.state.At(int(s))
-		want := core.In
-		for _, nb := range e.g.NeighborSlots(int(s)) {
-			if e.g.LessAt(int(nb), int(s)) && e.state.At(int(nb)) == core.In {
-				want = core.Out
-				break
-			}
-		}
-		if want == cur {
-			continue
-		}
-		e.state.SetAt(int(s), want)
-		e.recordFlip(wk, s, cur)
-		so := e.owner(s)
-		for _, nb := range e.g.NeighborSlots(int(s)) {
-			if !e.g.LessAt(int(s), int(nb)) {
-				continue
-			}
-			if e.owner(nb) == so {
-				wk.localHops++
-			} else {
-				wk.crossHops++
-			}
-			if atomic.LoadUint32(&e.flags[nb]) == stIdle {
-				atomic.StoreUint32(&e.flags[nb], stQueued)
-				stack = append(stack, nb)
-			}
-		}
-	}
-	wk.local = stack
+	p.flipCnt[s]++
 }
 
 // runWorker is one parallel worker's main loop: drain the private stack,
 // flush outbox batches, refill from the own deque, steal from busier
 // shards, park when the whole cascade is quiet.
-func (e *Engine) runWorker(w int) {
-	wk := e.workers[w]
+func (p *parallel) runWorker(w int) {
+	wk := p.workers[w]
 	for {
 		for len(wk.local) > 0 {
 			n := len(wk.local) - 1
 			s := wk.local[n]
 			wk.local = wk.local[:n]
-			e.process(w, wk, s)
+			p.process(w, wk, s)
 		}
-		e.flushAll(wk)
-		if e.refill(wk) {
+		p.flushAll(wk)
+		if p.refill(wk) {
 			continue
 		}
-		if e.stealWork(w, wk) {
+		if p.stealWork(w, wk) {
 			continue
 		}
-		if !e.park(w, wk) {
+		if !p.park(w, wk) {
 			return
 		}
 	}
@@ -254,13 +241,13 @@ func (e *Engine) runWorker(w int) {
 // process runs the state machine for one popped slot: evaluate (and
 // maybe flip), looping while enqueues marked the slot requeued, then
 // release the pending credit and detect termination.
-func (e *Engine) process(w int, wk *worker, s int32) {
-	fl := &e.flags[s]
+func (p *parallel) process(w int, wk *worker, s int32) {
+	fl := &p.mark[s]
 	if old := atomic.SwapUint32(fl, stRunning); old != stQueued {
 		panic(fmt.Sprintf("shard: popped slot %d in cascade state %d, want queued", s, old))
 	}
 	for {
-		e.step(w, wk, s)
+		p.step(w, wk, s)
 		if atomic.CompareAndSwapUint32(fl, stRunning, stIdle) {
 			break
 		}
@@ -269,10 +256,10 @@ func (e *Engine) process(w int, wk *worker, s int32) {
 		if old := atomic.SwapUint32(fl, stRunning); old != stRequeued {
 			panic(fmt.Sprintf("shard: rerun of slot %d found cascade state %d, want requeued", s, old))
 		}
-		e.pending.Add(-1)
+		p.pending.Add(-1)
 	}
-	if e.pending.Add(-1) == 0 {
-		e.shutdown()
+	if p.pending.Add(-1) == 0 {
+		p.shutdown()
 	}
 }
 
@@ -282,21 +269,21 @@ func (e *Engine) process(w int, wk *worker, s int32) {
 // written under its write lock; reads may be momentarily stale, but any
 // later flip of an earlier neighbor re-enqueues (or re-runs) s, so
 // staleness delays convergence and cannot corrupt the fixpoint.
-func (e *Engine) step(w int, wk *worker, s int32) {
-	own := e.shards[e.owner(s)]
+func (p *parallel) step(w int, wk *worker, s int32) {
+	own := p.shards[p.owner(s)]
 	own.mu.RLock()
-	cur := e.state.At(int(s))
+	cur := p.state.At(int(s))
 	own.mu.RUnlock()
 
 	want := core.In
-	for _, nb := range e.g.NeighborSlots(int(s)) {
-		if !e.g.LessAt(int(nb), int(s)) {
+	for _, nb := range p.g.NeighborSlots(int(s)) {
+		if !p.g.LessAt(int(nb), int(s)) {
 			continue
 		}
-		p := e.shards[e.owner(nb)]
-		p.mu.RLock()
-		nin := e.state.At(int(nb)) == core.In
-		p.mu.RUnlock()
+		q := p.shards[p.owner(nb)]
+		q.mu.RLock()
+		nin := p.state.At(int(nb)) == core.In
+		q.mu.RUnlock()
 		if nin {
 			want = core.Out
 			break
@@ -307,22 +294,21 @@ func (e *Engine) step(w int, wk *worker, s int32) {
 	}
 
 	own.mu.Lock()
-	e.state.SetAt(int(s), want)
+	p.state.SetAt(int(s), want)
 	own.mu.Unlock()
-	e.recordFlip(wk, s, cur)
+	p.recordFlip(wk, s)
 
 	// Only nodes later in π can have been violated by this flip.
-	so := e.owner(s)
-	for _, nb := range e.g.NeighborSlots(int(s)) {
-		if !e.g.LessAt(int(s), int(nb)) {
+	so := p.owner(s)
+	for _, nb := range p.g.NeighborSlots(int(s)) {
+		if !p.g.LessAt(int(s), int(nb)) {
 			continue
 		}
-		if e.owner(nb) == so {
-			wk.localHops++
-		} else {
-			wk.crossHops++
+		wk.handoffs++
+		if p.owner(nb) != so {
+			wk.cross++
 		}
-		e.enqueue(w, wk, nb)
+		p.enqueue(w, wk, nb)
 	}
 }
 
@@ -333,25 +319,24 @@ func (e *Engine) step(w int, wk *worker, s int32) {
 //
 // The pending credit is taken after the CAS but before the slot becomes
 // visible to any consumer; the count cannot meanwhile hit zero because
-// the caller — a worker mid-process, or the coordinator before workers
-// start — still holds its own credit.
-func (e *Engine) enqueue(w int, wk *worker, s int32) {
-	fl := &e.flags[s]
+// the caller — a worker mid-process — still holds its own credit.
+func (p *parallel) enqueue(w int, wk *worker, s int32) {
+	fl := &p.mark[s]
 	for {
 		switch atomic.LoadUint32(fl) {
 		case stIdle:
 			if atomic.CompareAndSwapUint32(fl, stIdle, stQueued) {
-				e.pending.Add(1)
-				d := e.owner(s)
+				p.pending.Add(1)
+				d := p.owner(s)
 				if d == w {
 					wk.local = append(wk.local, s)
 					if len(wk.local) > localSpill {
-						e.spillLocal(wk)
+						p.spillLocal(wk)
 					}
 				} else {
 					wk.out[d] = append(wk.out[d], s)
 					if len(wk.out[d]) >= outboxFlush {
-						e.flushDest(wk, d)
+						p.flushDest(wk, d)
 					}
 				}
 				return
@@ -360,7 +345,7 @@ func (e *Engine) enqueue(w int, wk *worker, s int32) {
 			return // merged into the already-pending entry
 		case stRunning:
 			if atomic.CompareAndSwapUint32(fl, stRunning, stRequeued) {
-				e.pending.Add(1)
+				p.pending.Add(1)
 				return
 			}
 		}
@@ -369,35 +354,35 @@ func (e *Engine) enqueue(w int, wk *worker, s int32) {
 
 // spillLocal publishes the oldest half of the private stack to the
 // worker's shared deque, where idle shards can steal it.
-func (e *Engine) spillLocal(wk *worker) {
+func (p *parallel) spillLocal(wk *worker) {
 	half := len(wk.local) / 2
 	wk.deque.PushBatch(wk.local[:half])
 	n := copy(wk.local, wk.local[half:])
 	wk.local = wk.local[:n]
-	e.wake()
+	p.wake()
 }
 
 // flushDest delivers one destination's outbox as a single batch.
-func (e *Engine) flushDest(wk *worker, d int) {
-	e.workers[d].deque.PushBatch(wk.out[d])
+func (p *parallel) flushDest(wk *worker, d int) {
+	p.workers[d].deque.PushBatch(wk.out[d])
 	wk.out[d] = wk.out[d][:0]
-	e.wake()
+	p.wake()
 }
 
 // flushAll delivers every non-empty outbox; it must run before a worker
 // refills, steals or parks, so no hand-off can hide in a sleeping
 // worker's outbox.
-func (e *Engine) flushAll(wk *worker) {
+func (p *parallel) flushAll(wk *worker) {
 	for d := range wk.out {
 		if len(wk.out[d]) > 0 {
-			e.flushDest(wk, d)
+			p.flushDest(wk, d)
 		}
 	}
 }
 
 // refill moves a batch from the worker's shared deque onto its private
 // stack, reporting whether anything arrived.
-func (e *Engine) refill(wk *worker) bool {
+func (p *parallel) refill(wk *worker) bool {
 	n := len(wk.local)
 	wk.local = wk.deque.PopBatch(wk.local, refillBatch)
 	return len(wk.local) > n
@@ -405,14 +390,13 @@ func (e *Engine) refill(wk *worker) bool {
 
 // stealWork scans the other shards' deques and steals a batch from the
 // first non-empty one.
-func (e *Engine) stealWork(w int, wk *worker) bool {
-	for i := 1; i < len(e.workers); i++ {
-		v := (w + i) % len(e.workers)
+func (p *parallel) stealWork(w int, wk *worker) bool {
+	for i := 1; i < len(p.workers); i++ {
+		v := (w + i) % len(p.workers)
 		n := len(wk.local)
-		wk.local = e.workers[v].deque.Steal(wk.local, stealBatch)
-		if got := len(wk.local) - n; got > 0 {
+		wk.local = p.workers[v].deque.Steal(wk.local, stealBatch)
+		if len(wk.local) > n {
 			wk.steals++
-			wk.stolen += got
 			return true
 		}
 	}
@@ -423,8 +407,8 @@ func (e *Engine) stealWork(w int, wk *worker) bool {
 // the cascade terminated. It returns false exactly when the worker
 // should exit. The gen re-check between the unlocked probe and the Wait
 // closes the lost-wakeup window.
-func (e *Engine) park(w int, wk *worker) bool {
-	lot := &e.lot
+func (p *parallel) park(w int, wk *worker) bool {
+	lot := &p.lot
 	lot.mu.Lock()
 	for {
 		if lot.done {
@@ -433,7 +417,7 @@ func (e *Engine) park(w int, wk *worker) bool {
 		}
 		gen := lot.gen
 		lot.mu.Unlock()
-		if e.refill(wk) || e.stealWork(w, wk) {
+		if p.refill(wk) || p.stealWork(w, wk) {
 			return true
 		}
 		lot.mu.Lock()
@@ -446,8 +430,8 @@ func (e *Engine) park(w int, wk *worker) bool {
 }
 
 // wake records that work was published and rouses parked workers.
-func (e *Engine) wake() {
-	lot := &e.lot
+func (p *parallel) wake() {
+	lot := &p.lot
 	lot.mu.Lock()
 	lot.gen++
 	if lot.waiting > 0 {
@@ -457,8 +441,8 @@ func (e *Engine) wake() {
 }
 
 // shutdown marks the cascade terminated and releases every parked worker.
-func (e *Engine) shutdown() {
-	lot := &e.lot
+func (p *parallel) shutdown() {
+	lot := &p.lot
 	lot.mu.Lock()
 	lot.done = true
 	lot.cond.Broadcast()

@@ -8,6 +8,7 @@ import (
 	"dynmis/internal/core"
 	"dynmis/internal/graph"
 	"dynmis/internal/order"
+	"dynmis/metrics"
 	"dynmis/workload"
 )
 
@@ -28,12 +29,13 @@ func TestEquivalenceWithSequential(t *testing.T) {
 			}
 
 			// Once letting the engine pick its execution mode per window,
-			// once with the serial fast path disabled, so the equivalence
-			// covers the worker/stealing machinery even on hosts where
-			// GOMAXPROCS would route everything through the serial drain.
+			// once with the parallel cascade accepting every window, so the
+			// equivalence covers the worker/stealing machinery even on
+			// hosts where GOMAXPROCS would route everything through the
+			// Template's synchronous cascade.
 			for _, force := range []bool{false, true} {
 				e := New(42, shards)
-				e.forceParallel = force
+				e.par.forceParallel = force
 				e.SetWindow(window)
 				if _, err := e.ApplyAll(seq); err != nil {
 					t.Fatalf("shards=%d window=%d force=%v: %v", shards, window, force, err)
@@ -54,12 +56,13 @@ func TestEquivalenceWithSequential(t *testing.T) {
 
 // A long path with strictly increasing priorities is the worst case for
 // cross-shard serialization: deleting the head MIS node cascades a flip
-// down the entire path, and with hashed ownership nearly every hand-off
-// crosses a shard boundary. The cascade must serialize those hand-offs
-// correctly and still converge to the greedy fixpoint.
+// down the entire path, and with block ownership every 64th hand-off
+// crosses a shard boundary. The parallel cascade must serialize those
+// hand-offs correctly and still converge to the greedy fixpoint.
 func TestCrossShardConflictSerialization(t *testing.T) {
 	const n = 400
 	e := New(1, 4)
+	e.par.forceParallel = true
 	// Force π to follow the node IDs so the cascade travels the full path.
 	for v := 0; v < n; v++ {
 		e.Order().Set(graph.NodeID(v), order.Priority(v+1))
@@ -146,10 +149,9 @@ func TestWindowWithTransientNodes(t *testing.T) {
 	}
 }
 
-// Validation failures surface with the change index and leave the engine
-// with a consistent (cascaded) prefix? No — mirroring Template.ApplyBatch,
-// the prefix mutations stay applied without a cascade and the caller must
-// treat the engine as unusable. This test only pins the error contract.
+// Validation failures surface with the change index and, as in
+// Template.ApplyBatch, leave the engine consistent: the staged prefix
+// stays applied and is cascaded.
 func TestBatchValidationError(t *testing.T) {
 	e := New(1, 2)
 	_, err := e.ApplyBatch([]graph.Change{
@@ -158,6 +160,12 @@ func TestBatchValidationError(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected validation error")
+	}
+	if !e.InMIS(1) {
+		t.Fatal("staged prefix was not cascaded")
+	}
+	if err := e.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -201,9 +209,9 @@ func TestMuteUnmuteWindow(t *testing.T) {
 
 // Dense windows under many shards exercise the per-slot state-machine
 // dedup, batch flushing, stealing and the termination protocol; run with
-// -race to exercise the locking discipline. The serial fast path is
-// disabled and GOMAXPROCS raised so the parallel machinery runs even on
-// single-processor hosts.
+// -race to exercise the locking discipline. The parallel cascade accepts
+// every window and GOMAXPROCS is raised so the parallel machinery runs
+// even on single-processor hosts.
 func TestDenseWindowsRace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewPCG(31, 37))
@@ -211,8 +219,10 @@ func TestDenseWindowsRace(t *testing.T) {
 	churn := workload.RandomChurn(rng, workload.BuildGraph(build), workload.DefaultChurn(1500))
 
 	e := New(8, 8)
-	e.forceParallel = true
+	e.par.forceParallel = true
 	e.SetWindow(128)
+	coll := metrics.NewCollector()
+	e.Instrument(coll)
 	if _, err := e.ApplyAll(build); err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +235,8 @@ func TestDenseWindowsRace(t *testing.T) {
 	if err := core.CheckMIS(e.Graph(), e.State()); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stats()
-	if st.Windows == 0 || st.Updates != len(build)+len(churn) {
-		t.Fatalf("stats miscounted: %+v", st)
+	c := coll.Snapshot()
+	if c.Windows == 0 || c.Updates != uint64(len(build)+len(churn)) {
+		t.Fatalf("collector miscounted: %+v", c)
 	}
 }

@@ -115,7 +115,7 @@ func FuzzShardedEquivalence(f *testing.F) {
 		wtpl.Subscribe(func(ev core.Event) { wantEvents = append(wantEvents, ev) })
 
 		e := New(seed, shards)
-		e.forceParallel = procs > 1
+		e.par.forceParallel = procs > 1
 		var gotEvents []core.Event
 		e.Subscribe(func(ev core.Event) { gotEvents = append(gotEvents, ev) })
 

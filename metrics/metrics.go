@@ -63,7 +63,9 @@ type Counters struct {
 
 	// CascadeSteps is the total number of synchronous cascade steps the
 	// model-level template executed (steps in which at least one node
-	// flipped) — its "rounds to quiescence".
+	// flipped) — its "rounds to quiescence". The sharded engine counts
+	// them for the windows it leaves to the Template's cascade; its
+	// parallel windows have no steps.
 	CascadeSteps uint64 `json:"cascade_steps"`
 	// TouchedSlots is the total number of distinct arena slots the
 	// O(touched) accounting examined per window: staged nodes plus
@@ -98,8 +100,9 @@ type Counters struct {
 	MaxCausalDepth uint64 `json:"max_causal_depth"`
 
 	// Handoffs is the total number of cascade hand-offs the sharded
-	// engine routed (local and cross-shard, attributed by slot
-	// ownership).
+	// engine's parallel windows routed (local and cross-shard, attributed
+	// by slot ownership). Windows left to the Template's synchronous
+	// cascade route none.
 	Handoffs uint64 `json:"handoffs"`
 	// CrossShard is the subset of Handoffs that crossed a shard boundary
 	// — the serialization points of a parallel window. Theorem 1 bounds
