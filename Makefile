@@ -107,14 +107,23 @@ bench-big-smoke:
 	$(GO) run ./cmd/bench -big -big-n 100000 -big-steps 20000 -quick -serve-steps 0 \
 		-out /tmp/BENCH_dynmis_big_smoke.json
 
-# Allocation-regression gate: the steady-state churn benchmark must
+# Allocation-regression gates: the steady-state churn benchmark must
 # report zero allocations per update once the arena and spill pool have
-# warmed up — the property that keeps long-running daemons flat. The
-# grep fails the target if the benchmark reports a nonzero allocs/op.
+# warmed up — the property that keeps long-running daemons flat — and so
+# must per-change Template.Apply with one subscriber on both warmed
+# big-tier fields (staging, cascade, accounting and feed). The engine
+# gate checks allocs/op only: its drive stream drifts in size, so the
+# arena, index and spill slab still grow now and then, which shows as a
+# few amortized B/op. The greps fail the target on a nonzero allocs/op.
 bench-alloc:
 	$(GO) test -run '^$$' -bench BenchmarkSteadyStateEdgeChurn -benchmem ./internal/graph | tee /tmp/bench_alloc.txt
 	@grep -E 'BenchmarkSteadyStateEdgeChurn.*\s0 B/op\s+0 allocs/op' /tmp/bench_alloc.txt >/dev/null \
 		|| { echo "bench-alloc: steady-state churn allocates (want 0 B/op, 0 allocs/op)"; exit 1; }
+	$(GO) test -run '^$$' -bench BenchmarkSteadyStateTemplateApply -benchmem ./internal/core | tee /tmp/bench_alloc_engine.txt
+	@for sc in big-geometric big-power-law; do \
+		grep -E "BenchmarkSteadyStateTemplateApply/$$sc.*\s0 allocs/op" /tmp/bench_alloc_engine.txt >/dev/null \
+			|| { echo "bench-alloc: Template.Apply allocates on $$sc (want 0 allocs/op)"; exit 1; }; \
+	done
 
 # Paper-claims validation: regenerates docs/VALIDATION.md by driving
 # the workload scenarios through all eight engines with complexity
@@ -140,17 +149,23 @@ validate-smoke:
 validate-adaptive-smoke:
 	$(GO) run ./cmd/validate -adaptive-smoke
 
-# Fuzz walls. The sharded-equivalence target checks the π-equivalent
-# tier (byte-equal state and feed vs. the template); the competitor
-# target checks the tier-2 contract of the independent engines
-# (gupta-khan, aoss, sequential): per-window invariants, feed replay,
-# and slot recycling; the importer target checks that arbitrary edge
-# lists never panic the SNAP importer and that every accepted import
-# round-trips byte-identically. FUZZTIME scales all; fuzz-smoke is the
-# CI size.
+# Fuzz walls. The change-apply target checks the graph's single-pass
+# Change.ApplySlots against Validate and a map reference model (same
+# accepts, same error text, rejections leave the graph unchanged); the
+# template-churn target checks per-change and windowed template
+# application against the greedy oracle, the state diff and the feed;
+# the sharded-equivalence target checks the π-equivalent tier (byte-equal
+# state and feed vs. the template); the competitor target checks the
+# tier-2 contract of the independent engines (gupta-khan, aoss,
+# sequential): per-window invariants, feed replay, and slot recycling;
+# the importer target checks that arbitrary edge lists never panic the
+# SNAP importer and that every accepted import round-trips
+# byte-identically. FUZZTIME scales all; fuzz-smoke is the CI size.
 FUZZTIME ?= 60s
 
 fuzz:
+	$(GO) test -fuzz=FuzzChangeApply -fuzztime=$(FUZZTIME) -run '^$$' ./internal/graph
+	$(GO) test -fuzz=FuzzTemplateChurn -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzShardedEquivalence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/shard
 	$(GO) test -fuzz=FuzzCompetitorInvariant -fuzztime=$(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz=FuzzTraceImport -fuzztime=$(FUZZTIME) -run '^$$' ./trace/importer

@@ -104,9 +104,9 @@ func (f *Feed) Publish(node graph.NodeID, from, to Membership, cause EventCause)
 }
 
 // PublishSorted sorts the events by node ID, assigns sequence numbers and
-// delivers them. Engines that assemble a delta in map order (the sharded
-// engine's O(touched) accounting) use it to publish in the canonical
-// order; the Seq fields of the input are overwritten.
+// delivers them. A delta assembled in map order (EmitDiff's, or
+// DeltaFromTouchedOn's in internal/seqdyn) is published through it in
+// the canonical order; the Seq fields of the input are overwritten.
 func (f *Feed) PublishSorted(evs []Event) {
 	slices.SortFunc(evs, func(a, b Event) int { return cmp.Compare(a.Node, b.Node) })
 	for _, ev := range evs {
@@ -141,58 +141,136 @@ func (f *Feed) EmitDiff(before, after map[graph.NodeID]Membership) {
 	f.PublishSorted(evs)
 }
 
-// Touched is a node's pre-window configuration, captured at first touch:
-// whether it was present in the stable configuration before the update
-// window, and with which membership. The template and sharded engines
-// record one Touched per staged or flipped node and account the whole
-// window from that set alone — O(touched), never O(n).
+// Touched is a node's configuration at a point of an update window:
+// whether it was present, and with which membership. The engines account
+// a whole window from the configurations its touched nodes had before it
+// — O(touched), never O(n).
 type Touched struct {
 	Present bool
 	M       Membership
 }
 
-// DeltaFromTouched computes the window's adjustment count and — when emit
-// is set — its canonical feed delta, by comparing each touched node's
-// pre-window configuration against the current arena state. Untouched
-// nodes cannot have changed, so the result equals DiffStates/EmitDiff over
-// full before/after maps (the events still need PublishSorted for the
-// canonical node order).
-func DeltaFromTouched(g *graph.Graph, s State, touched map[graph.NodeID]Touched, emit bool) (adjustments int, evs []Event) {
-	for v, b := range touched {
-		i, present := g.Index(v)
+// Touch is one record of a window's touched log: node Node was staged by
+// a node change of the window. The template and sharded engines log one
+// Touch per staged node change (StageChange), so the log is at most as
+// long as the window, and keep the nodes the cascade flipped on the
+// Lanes flip log beside it; a node that is deleted and re-inserted, or
+// inserted and then flipped, is on both or on the log twice.
+// DeltaFromTouched folds a node's records in log order.
+type Touch struct {
+	Node graph.NodeID
+	// Slot is Node's slot after the change, or -1 if the change removed
+	// it. A removed MIS member (Before.M == In) is the v* flip of §3: it
+	// "flips" to M̄ by departing.
+	Slot int32
+	// Before is Node's configuration just before the change.
+	Before Touched
+}
+
+// Delta is a window's account, folded from its touched nodes.
+type Delta struct {
+	// Adjustments counts the nodes whose membership differs between the
+	// stable configurations before and after the window (DiffStates).
+	Adjustments int
+	// SSize counts the nodes with at least one flip, and Flips the flips:
+	// the departures of MIS members on the log and the flips on the flip
+	// log. An engine that counts its flips elsewhere reads neither.
+	SSize, Flips int
+	// Nodes counts the distinct touched nodes.
+	Nodes int
+}
+
+// DeltaFromTouched folds a window's touched nodes — the staged ones on
+// log and the cascade-flipped ones on l's flip log (l may be nil) — into
+// its Delta, and publishes the window's canonical feed delta on f in
+// ascending node order. A node's first log record gives its pre-window
+// configuration (first touch wins; a node only flipped had the
+// membership its flip parity implies), its last touch its slot
+// afterwards, and the arena state its membership there. Untouched nodes
+// cannot have changed, so the result equals DiffStates/EmitDiff over full
+// before/after maps. It sorts log (stably) and l.Flipped by node in
+// place.
+func DeltaFromTouched(s State, log []Touch, l *Lanes, f *Feed) Delta {
+	slices.SortStableFunc(log, func(a, b Touch) int { return cmp.Compare(a.Node, b.Node) })
+	var flipped []int32
+	if l != nil {
+		flipped = l.Flipped
+		slices.SortFunc(flipped, func(a, b int32) int { return cmp.Compare(s.g.IDAt(int(a)), s.g.IDAt(int(b))) })
+	}
+	emit := f.Active()
+
+	var d Delta
+	for i, j := 0, 0; i < len(log) || j < len(flipped); {
+		// Merge the two node-ordered lists; a node is on the flip log at
+		// most once (it flips in the one slot it holds after staging).
+		v := graph.None
+		if i < len(log) {
+			v = log[i].Node
+		}
+		if j < len(flipped) && (v == graph.None || s.g.IDAt(int(flipped[j])) < v) {
+			v = s.g.IDAt(int(flipped[j]))
+		}
+		var b Touched
+		slot, flips, seen := int32(-1), 0, false
+		for ; i < len(log) && log[i].Node == v; i++ {
+			if !seen {
+				b, seen = log[i].Before, true
+			}
+			slot = log[i].Slot
+			if slot < 0 && log[i].Before.M == In {
+				flips++
+			}
+		}
+		if j < len(flipped) && s.g.IDAt(int(flipped[j])) == v {
+			slot = flipped[j]
+			j++
+			n := l.FlipCnt[slot]
+			flips += int(n)
+			if !seen {
+				// A cascade flip only ever toggles, so the pre-window
+				// membership is the current one complemented iff the
+				// flip count is odd.
+				b = Touched{Present: true, M: s.At(int(slot)) != (n%2 == 1)}
+			}
+		}
+		d.Nodes++
+		if flips > 0 {
+			d.SSize++
+			d.Flips += flips
+		}
 		switch {
-		case b.Present && present:
-			if cur := s.At(i); cur != b.M {
-				adjustments++
+		case b.Present && slot >= 0:
+			if cur := s.At(int(slot)); cur != b.M {
+				d.Adjustments++
 				if emit {
-					evs = append(evs, Event{Node: v, From: b.M, To: cur, Cause: CauseFlip})
+					f.Publish(v, b.M, cur, CauseFlip)
 				}
 			}
-		case b.Present && !present:
+		case b.Present:
 			if b.M == In {
-				adjustments++
+				d.Adjustments++
 			}
 			if emit {
-				evs = append(evs, Event{Node: v, From: b.M, To: Out, Cause: CauseLeave})
+				f.Publish(v, b.M, Out, CauseLeave)
 			}
-		case !b.Present && present:
-			cur := s.At(i)
+		case slot >= 0:
+			cur := s.At(int(slot))
 			if cur == In {
-				adjustments++
+				d.Adjustments++
 			}
 			if emit {
-				evs = append(evs, Event{Node: v, From: Out, To: cur, Cause: CauseJoin})
+				f.Publish(v, Out, cur, CauseJoin)
 			}
 		}
 	}
-	return adjustments, evs
+	return d
 }
 
-// DeltaFromTouchedOn is DeltaFromTouched over any membership lookup
-// instead of the dense arena view: presence is s.Has, membership s.Get.
-// Map-backed engines (internal/seqdyn) use it with MapState; the result
-// is identical to DeltaFromTouched when both views describe the same
-// configuration.
+// DeltaFromTouchedOn is the adjustment count and feed delta of
+// DeltaFromTouched for a map-backed engine (internal/seqdyn, with
+// MapState): touched maps each node to its pre-window configuration,
+// presence afterwards is s.Has and membership s.Get. The events still
+// need PublishSorted for the canonical node order.
 func DeltaFromTouchedOn(s Stater, touched map[graph.NodeID]Touched, emit bool) (adjustments int, evs []Event) {
 	for v, b := range touched {
 		present := s.Has(v)

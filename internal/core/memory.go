@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"dynmis/internal/graph"
 	"dynmis/metrics"
 )
@@ -55,13 +57,13 @@ func (t *Template) MemoryProfile() metrics.Memory {
 }
 
 // ScratchBytes is the template's storage beside the arena: the
-// slot-indexed cascade lanes, the cascade worklists, the ID-space window
-// scratch and the order's priority table. The touched/flips maps are
-// O(window) scratch cleared between windows and are deliberately not
-// estimated. An engine built on the Template adds its own storage to this.
+// slot-indexed cascade lanes, the cascade worklists (which also hold a
+// window's seeds), the touched log at the capacity the largest window
+// left, and the order's priority table. An engine built on the Template
+// adds its own storage to this.
 func (t *Template) ScratchBytes() int64 {
 	l := &t.lanes
 	return int64(cap(l.Mark)+cap(l.FlipCnt)+cap(l.Flipped)+cap(t.cand)+cap(t.next))*4 +
-		int64(cap(t.frontier)+cap(t.preFlips))*8 +
+		int64(cap(t.log))*int64(unsafe.Sizeof(Touch{})) +
 		t.ord.MemBytes()
 }

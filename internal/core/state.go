@@ -44,8 +44,8 @@ func (m Membership) String() string {
 // surface a deleted node's membership.
 //
 // State is a view, not a container: copying it is free and every copy reads
-// and writes the same arena. It implements both StateStore (staging) and
-// Stater (invariant checking).
+// and writes the same arena. It implements Stater (invariant checking);
+// staging writes it by slot (SetAt).
 type State struct {
 	g *graph.Graph
 }
@@ -83,14 +83,6 @@ func (s State) SetAt(i int, m Membership) {
 func (s State) Set(v graph.NodeID, m Membership) {
 	if i, ok := s.g.Index(v); ok {
 		s.SetAt(i, m)
-	}
-}
-
-// Delete forgets v's membership. Deleting an absent node is a no-op (the
-// graph already zeroed the slot's lane when the node was removed).
-func (s State) Delete(v graph.NodeID) {
-	if i, ok := s.g.Index(v); ok {
-		s.g.SetStateAt(i, 0)
 	}
 }
 

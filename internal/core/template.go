@@ -46,17 +46,17 @@ type Template struct {
 	coll  *metrics.Collector // nil while instrumentation is disabled
 	par   ParallelCascade    // nil: every window cascades synchronously
 
-	// Slot-indexed cascade scratch, reused across windows.
+	// Slot-indexed cascade scratch, reused across windows. Staging
+	// appends the window's seed slots to cand, the cascade's first
+	// worklist.
 	lanes Lanes
 	cand  []int32
 	next  []int32
 
-	// Window scratch.
-	one      [1]graph.Change
-	frontier []graph.NodeID
-	preFlips []graph.NodeID
-	touched  map[graph.NodeID]Touched
-	flips    map[graph.NodeID]int
+	// Window scratch, reused across windows: the touched log of staged
+	// node changes, which lives beside the lanes' flip log.
+	one [1]graph.Change
+	log []Touch
 }
 
 // Lanes is the Template's slot-indexed cascade scratch: 8 bytes per arena
@@ -71,7 +71,8 @@ type Lanes struct {
 	Mark []uint32
 	// FlipCnt counts each slot's flips in the current window and Flipped
 	// lists the slots whose count left zero, so the next window resets
-	// the counts in O(|S|).
+	// the counts in O(|S|). The window's accounting (DeltaFromTouched)
+	// reads the two beside its touched log and sorts Flipped by node.
 	FlipCnt []int32
 	Flipped []int32
 }
@@ -125,14 +126,7 @@ func NewTemplateWithOrder(ord *order.Order) *Template {
 func NewParallelTemplate(ord *order.Order, par ParallelCascade) *Template {
 	g := graph.New()
 	ord.Attach(g)
-	return &Template{
-		g:       g,
-		ord:     ord,
-		state:   NewState(g),
-		par:     par,
-		touched: make(map[graph.NodeID]Touched),
-		flips:   make(map[graph.NodeID]int),
-	}
+	return &Template{g: g, ord: ord, state: NewState(g), par: par}
 }
 
 // Graph exposes the engine's live graph. Callers must treat it as
@@ -183,7 +177,7 @@ func (t *Template) Apply(c graph.Change) (Report, error) {
 // applyWindow is the shared application path of Apply (a window of one)
 // and ApplyBatch: stage every change, run a single recovery cascade over
 // the combined damage, then account adjustments and the feed delta from
-// the touched set alone.
+// the touched log alone.
 //
 // On a staging error the already-staged prefix's mutations remain applied,
 // and the recovery cascade runs over the prefix's damage (also publishing
@@ -192,22 +186,13 @@ func (t *Template) Apply(c graph.Change) (Report, error) {
 // happens, so Apply's contract — unchanged engine on validation error —
 // holds.
 func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
-	clear(t.touched)
-	t.frontier = t.frontier[:0]
-	t.preFlips = t.preFlips[:0]
+	seeds := t.cand[:0]
+	t.log = t.log[:0]
 
 	var stageErr error
 	for i, c := range cs {
-		// Capture the pre-window configuration of the node a node-change
-		// touches before staging mutates it (first touch wins). Edge
-		// changes mutate no membership during staging; their endpoints are
-		// captured by the cascade's flip records if they flip.
-		if !c.Kind.IsEdge() {
-			if _, seen := t.touched[c.Node]; !seen {
-				t.touched[c.Node] = Touched{Present: t.g.HasNode(c.Node), M: t.state.Get(c.Node)}
-			}
-		}
-		staged, err := StageChange(t.g, t.ord, t.state, c)
+		touch, staged, err := StageChange(t.g, t.ord, t.state, c, seeds)
+		seeds = staged
 		if err != nil {
 			if batch {
 				err = fmt.Errorf("batch change %d: %w", i, err)
@@ -215,13 +200,12 @@ func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
 			stageErr = err
 			break
 		}
-		if staged.PreFlipped != graph.None {
-			t.preFlips = append(t.preFlips, staged.PreFlipped)
+		if touch.Node != graph.None {
+			t.log = append(t.log, touch)
 		}
-		t.frontier = append(t.frontier, staged.Frontier...)
 	}
 
-	steps, hops, cerr := t.cascade(t.frontier)
+	steps, hops, cerr := t.cascade(seeds)
 	if cerr != nil {
 		if stageErr != nil {
 			return Report{}, fmt.Errorf("%w (and prefix recovery failed: %v)", stageErr, cerr)
@@ -235,42 +219,19 @@ func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
 		t.steps = steps
 	}
 
-	// Fold the cascade's flip records into the cost account and the
-	// touched set. A cascade flip only ever toggles, so a node's
-	// pre-cascade membership is its current one complemented iff its flip
-	// count is odd.
-	clear(t.flips)
-	for _, v := range t.preFlips {
-		t.flips[v] = 1
-	}
-	l := &t.lanes
-	for _, s := range l.Flipped {
-		v := t.g.IDAt(int(s))
-		t.flips[v] += int(l.FlipCnt[s])
-		if _, seen := t.touched[v]; !seen {
-			m := t.state.At(int(s))
-			if l.FlipCnt[s]%2 == 1 {
-				m = !m
-			}
-			t.touched[v] = Touched{Present: true, M: m}
-		}
-	}
-
-	adj, evs := DeltaFromTouched(t.g, t.state, t.touched, t.feed.Active())
-	t.feed.PublishSorted(evs)
+	d := DeltaFromTouched(t.state, t.log, &t.lanes, &t.feed)
 	if stageErr != nil {
 		return Report{}, stageErr
 	}
 
-	var rep Report
-	rep.Rounds = steps
-	rep.SSize = len(t.flips)
-	for _, n := range t.flips {
-		rep.Flips += n
+	rep := Report{
+		Adjustments: d.Adjustments,
+		SSize:       d.SSize,
+		Flips:       d.Flips,
+		Rounds:      steps,
+		CrossShard:  hops.CrossShard,
+		Steals:      hops.Steals,
 	}
-	rep.Adjustments = adj
-	rep.CrossShard = hops.CrossShard
-	rep.Steals = hops.Steals
 
 	// Instrumentation folds quantities already computed for the Report
 	// and the O(touched) accounting — nothing is measured twice, and a
@@ -278,11 +239,11 @@ func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
 	if mc := t.coll; mc != nil {
 		mc.Updates += uint64(len(cs))
 		mc.Windows++
-		mc.Adjustments += uint64(adj)
-		mc.Influence += uint64(rep.SSize)
-		mc.Flips += uint64(rep.Flips)
+		mc.Adjustments += uint64(d.Adjustments)
+		mc.Influence += uint64(d.SSize)
+		mc.Flips += uint64(d.Flips)
 		mc.CascadeSteps += uint64(steps)
-		mc.TouchedSlots += uint64(len(t.touched))
+		mc.TouchedSlots += uint64(d.Nodes)
 		mc.Handoffs += uint64(hops.Handoffs)
 		mc.CrossShard += uint64(hops.CrossShard)
 		mc.Steals += uint64(hops.Steals)
@@ -290,13 +251,14 @@ func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
 	return rep, nil
 }
 
-// cascade runs the flip fixpoint starting from the given candidate set,
-// recording flips in the slot-indexed lanes. The window's resolved seeds
-// go to the parallel cascade first, if there is one; if it runs, cascade
-// returns its routing account and zero steps. Otherwise the synchronous
-// cascade runs and cascade returns the number of steps in which at least
-// one node flipped.
-func (t *Template) cascade(frontier []graph.NodeID) (int, CascadeCounts, error) {
+// cascade runs the flip fixpoint starting from the given seed slots (in
+// t.cand's buffer, which it filters in place), recording flips in the
+// slot-indexed lanes. The window's live, deduplicated seeds go to the
+// parallel cascade first, if there is one; if it runs, cascade returns
+// its routing account and zero steps. Otherwise the synchronous cascade
+// runs and cascade returns the number of steps in which at least one
+// node flipped.
+func (t *Template) cascade(seeds []int32) (int, CascadeCounts, error) {
 	// Reset the previous window's flip records sparsely, then make sure
 	// the slot-indexed lanes cover the arena.
 	l := &t.lanes
@@ -312,14 +274,15 @@ func (t *Template) cascade(frontier []graph.NodeID) (int, CascadeCounts, error) 
 	// Every slot in cand or next carries the queued mark, and every exit
 	// below leaves the mark lane all-zero: marks are cleared as cand is
 	// evaluated, and only a step that goes on marks next.
-	cand, next := t.cand[:0], t.next[:0]
+	cand, next := seeds[:0], t.next[:0]
 	defer func() { t.cand, t.next = cand[:0], next[:0] }()
-	for _, v := range frontier {
-		// Frontier entries staged away later in the same window no longer
-		// resolve; their former neighbors were seeded separately.
-		if i, ok := t.g.Index(v); ok && l.Mark[i] == 0 {
-			l.Mark[i] = 1
-			cand = append(cand, int32(i))
+	for _, s := range seeds {
+		// A seed slot freed later in the same window names no node, and
+		// one recycled by a later insertion names that node, which seeded
+		// itself; a deleted seed's former neighbors were seeded separately.
+		if t.g.IDAt(int(s)) != graph.None && l.Mark[s] == 0 {
+			l.Mark[s] = 1
+			cand = append(cand, s)
 		}
 	}
 	if t.par != nil && len(cand) > 0 {

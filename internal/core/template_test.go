@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"dynmis/internal/graph"
@@ -365,4 +366,61 @@ func TestReportAddAndString(t *testing.T) {
 	if a.String() == "" {
 		t.Error("empty String")
 	}
+}
+
+// TestTemplateWindowTraps pins one ApplyBatch window that springs every
+// trap of slot-space staging at once: it deletes an MIS node u (1) and
+// its neighbor w (2), inserts a fresh node z (5) that recycles w's freed
+// slot — so w's seed slot names z by cascade time — and re-inserts u so
+// that it flips back in. The Report and events are the ones the
+// map-based staging returned for this window: u's pre-window record wins
+// (no event for it), and u counts once in S although it both departed
+// in the MIS and flipped.
+func TestTemplateWindowTraps(t *testing.T) {
+	ord := order.New(5)
+	for v, p := range map[graph.NodeID]order.Priority{1: 10, 2: 20, 3: 30, 4: 40, 5: 5} {
+		ord.Set(v, p)
+	}
+	eng := NewTemplateWithOrder(ord)
+	// u=1 is first in π and blocks w=2 and x=3; y=4 joins behind them.
+	for _, c := range []graph.Change{
+		graph.NodeChange(graph.NodeInsert, 1),
+		graph.NodeChange(graph.NodeInsert, 2, 1),
+		graph.NodeChange(graph.NodeInsert, 3, 1),
+		graph.NodeChange(graph.NodeInsert, 4, 2, 3),
+	} {
+		apply(t, eng, c)
+	}
+	var evs []Event
+	eng.Subscribe(func(ev Event) { evs = append(evs, ev) })
+	wSlot, _ := eng.Graph().Index(2)
+
+	rep, err := eng.ApplyBatch([]graph.Change{
+		graph.NodeChange(graph.NodeDeleteGraceful, 1),
+		graph.NodeChange(graph.NodeDeleteAbrupt, 2),
+		graph.NodeChange(graph.NodeInsert, 5, 4),
+		graph.NodeChange(graph.NodeInsert, 1, 4),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zSlot, _ := eng.Graph().Index(5); zSlot != wSlot {
+		t.Fatalf("z took slot %d, want w's recycled slot %d", zSlot, wSlot)
+	}
+	if want := (Report{Adjustments: 3, SSize: 4, Flips: 5, Rounds: 3}); rep != want {
+		t.Errorf("report = %+v, want %+v", rep, want)
+	}
+	wantEvs := []Event{
+		{Seq: 1, Node: 2, From: Out, To: Out, Cause: CauseLeave},
+		{Seq: 2, Node: 3, From: Out, To: In, Cause: CauseFlip},
+		{Seq: 3, Node: 4, From: In, To: Out, Cause: CauseFlip},
+		{Seq: 4, Node: 5, From: Out, To: In, Cause: CauseJoin},
+	}
+	if !slices.Equal(evs, wantEvs) {
+		t.Errorf("events = %v, want %v", evs, wantEvs)
+	}
+	if !eng.InMIS(1) {
+		t.Error("re-inserted u did not flip into the MIS")
+	}
+	checkOracle(t, eng)
 }

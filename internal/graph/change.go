@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ChangeKind enumerates the topology changes of the dynamic distributed
@@ -108,76 +109,161 @@ func (c Change) String() string {
 	return fmt.Sprintf("%s(%d; %v)", c.Kind, c.Node, c.Edges)
 }
 
+// Slots is what Change.ApplySlots resolved: the arena slot of every
+// node the change names, each looked up once. Fields a change kind does
+// not name are -1 (Nbrs nil, State 0).
+type Slots struct {
+	// U and V are an edge change's endpoint slots.
+	U, V int32
+	// Node is a node change's slot: the one an insertion claimed, or the
+	// one a deletion freed (which the next insertion may recycle).
+	Node int32
+	// Nbrs are a node change's neighbor slots: an insertion's new
+	// neighbors in Edges order, or a deletion's former neighbors in
+	// ascending slot order. The slice is the graph's scratch, valid until
+	// the next ApplySlots.
+	Nbrs []int32
+	// State is a deleted node's membership-lane byte, read before its
+	// slot was freed (and zeroed).
+	State byte
+}
+
 // Validate reports whether c can be applied to g. Unmuting is validated
 // like a node insertion: the node must be absent from the visible topology.
+// It shares its checks with ApplySlots, so both report the same error.
 func (c Change) Validate(g *Graph) error {
+	var nbrs [32]int32
+	var pairs [32]uint64
+	_, _, err := c.resolve(g, nbrs[:0], pairs[:0])
+	return err
+}
+
+// ApplySlots validates c against g and applies it in one pass, looking up
+// each NodeID the change names once, and returns the slots it resolved.
+// On a validation error g is unchanged and the error is Validate's.
+func (c Change) ApplySlots(g *Graph) (Slots, error) {
+	s, pairs, err := c.resolve(g, g.nbrs[:0], g.pairs[:0])
+	g.pairs = pairs
+	if err != nil {
+		return s, err
+	}
+	switch c.Kind {
+	case EdgeInsert:
+		g.link(s.U, s.V)
+	case EdgeDeleteGraceful, EdgeDeleteAbrupt:
+		g.unlink(s.U, s.V)
+	case NodeInsert, NodeUnmute:
+		g.nbrs = s.Nbrs
+		s.Node = g.alloc(c.Node)
+		for _, j := range s.Nbrs {
+			g.link(s.Node, j)
+		}
+	case NodeDeleteGraceful, NodeDeleteAbrupt, NodeMute:
+		s.State = g.state[s.Node]
+		s.Nbrs = append(g.nbrs[:0], g.adjSlots(s.Node)...)
+		g.nbrs = s.Nbrs
+		g.removeAt(s.Node)
+	}
+	return s, nil
+}
+
+// Apply validates c and mutates g accordingly: ApplySlots without the
+// slots.
+func (c Change) Apply(g *Graph) error {
+	_, err := c.ApplySlots(g)
+	return err
+}
+
+// resolve checks c against g without mutating it and returns the slots
+// of the nodes already present: both endpoints of an edge change, the
+// subject of a deletion, and the neighbors of an insertion (appended to
+// nbrs). pairs is firstRepeat's scratch, returned grown. Checks run in a
+// fixed order, so the first failing one names the error.
+func (c Change) resolve(g *Graph, nbrs []int32, pairs []uint64) (Slots, []uint64, error) {
+	s := Slots{U: -1, V: -1, Node: -1}
+	invalid := func(err error) error {
+		return fmt.Errorf("%w: %s: %w", ErrInvalidChange, c, err)
+	}
 	switch c.Kind {
 	case EdgeInsert:
 		if c.U == c.V {
-			return fmt.Errorf("%w: %s: %w", ErrInvalidChange, c, ErrSelfLoop)
+			return s, pairs, invalid(ErrSelfLoop)
 		}
-		if !g.HasNode(c.U) || !g.HasNode(c.V) {
-			return fmt.Errorf("%w: %s: %w", ErrInvalidChange, c, ErrNoNode)
+		i, iok := g.idx[c.U]
+		j, jok := g.idx[c.V]
+		if !iok || !jok {
+			return s, pairs, invalid(ErrNoNode)
 		}
-		if g.HasEdge(c.U, c.V) {
-			return fmt.Errorf("%w: %s: %w", ErrInvalidChange, c, ErrEdgeExists)
+		if g.adjContains(i, j) {
+			return s, pairs, invalid(ErrEdgeExists)
 		}
+		s.U, s.V = i, j
 	case EdgeDeleteGraceful, EdgeDeleteAbrupt:
-		if !g.HasEdge(c.U, c.V) {
-			return fmt.Errorf("%w: %s: %w", ErrInvalidChange, c, ErrNoEdge)
+		i, iok := g.idx[c.U]
+		j, jok := g.idx[c.V]
+		if !iok || !jok || !g.adjContains(i, j) {
+			return s, pairs, invalid(ErrNoEdge)
 		}
+		s.U, s.V = i, j
 	case NodeInsert, NodeUnmute:
 		if c.Node == None {
-			return fmt.Errorf("%w: %s: %w", ErrInvalidChange, c, ErrReservedID)
+			return s, pairs, invalid(ErrReservedID)
 		}
-		if g.HasNode(c.Node) {
-			return fmt.Errorf("%w: %s: %w", ErrInvalidChange, c, ErrNodeExists)
+		if _, ok := g.idx[c.Node]; ok {
+			return s, pairs, invalid(ErrNodeExists)
 		}
-		seen := make(map[NodeID]struct{}, len(c.Edges))
-		for _, u := range c.Edges {
-			if u == c.Node {
-				return fmt.Errorf("%w: %s: %w", ErrInvalidChange, c, ErrSelfLoop)
+		// Resolve the neighbors up to the first one that is absent (which
+		// includes a self loop: the node itself is absent). A repeated
+		// neighbor before that position is the earlier error.
+		bad := -1
+		for k, u := range c.Edges {
+			j, ok := g.idx[u]
+			if !ok {
+				bad = k
+				break
 			}
-			if !g.HasNode(u) {
-				return fmt.Errorf("%w: %s: neighbor %d: %w", ErrInvalidChange, c, u, ErrNoNode)
-			}
-			if _, dup := seen[u]; dup {
-				return fmt.Errorf("%w: %s: duplicate neighbor %d", ErrInvalidChange, c, u)
-			}
-			seen[u] = struct{}{}
+			nbrs = append(nbrs, j)
 		}
+		var k int
+		if k, pairs = firstRepeat(nbrs, pairs); k >= 0 {
+			return s, pairs, fmt.Errorf("%w: %s: duplicate neighbor %d", ErrInvalidChange, c, c.Edges[k])
+		}
+		if bad >= 0 && c.Edges[bad] == c.Node {
+			return s, pairs, invalid(ErrSelfLoop)
+		}
+		if bad >= 0 {
+			return s, pairs, fmt.Errorf("%w: %s: neighbor %d: %w", ErrInvalidChange, c, c.Edges[bad], ErrNoNode)
+		}
+		s.Nbrs = nbrs
 	case NodeDeleteGraceful, NodeDeleteAbrupt, NodeMute:
-		if !g.HasNode(c.Node) {
-			return fmt.Errorf("%w: %s: %w", ErrInvalidChange, c, ErrNoNode)
+		i, ok := g.idx[c.Node]
+		if !ok {
+			return s, pairs, invalid(ErrNoNode)
 		}
+		s.Node = i
 	default:
-		return fmt.Errorf("%w: unknown kind %v", ErrInvalidChange, c.Kind)
+		return s, pairs, fmt.Errorf("%w: unknown kind %v", ErrInvalidChange, c.Kind)
 	}
-	return nil
+	return s, pairs, nil
 }
 
-// Apply validates c and mutates g accordingly.
-func (c Change) Apply(g *Graph) error {
-	if err := c.Validate(g); err != nil {
-		return err
+// firstRepeat returns the smallest position k with slots[k] in
+// slots[:k], or -1 if the slots are distinct. It sorts (slot, position)
+// pairs in the pairs scratch, returned grown: within a run of equal
+// slots every position but the first is a repeat.
+func firstRepeat(slots []int32, pairs []uint64) (int, []uint64) {
+	pairs = pairs[:0]
+	for k, j := range slots {
+		pairs = append(pairs, uint64(uint32(j))<<32|uint64(k))
 	}
-	switch c.Kind {
-	case EdgeInsert:
-		return g.AddEdge(c.U, c.V)
-	case EdgeDeleteGraceful, EdgeDeleteAbrupt:
-		return g.RemoveEdge(c.U, c.V)
-	case NodeInsert, NodeUnmute:
-		if err := g.AddNode(c.Node); err != nil {
-			return err
-		}
-		for _, u := range c.Edges {
-			if err := g.AddEdge(c.Node, u); err != nil {
-				return err
+	slices.Sort(pairs)
+	first := -1
+	for k := 1; k < len(pairs); k++ {
+		if pairs[k]>>32 == pairs[k-1]>>32 {
+			if pos := int(uint32(pairs[k])); first < 0 || pos < first {
+				first = pos
 			}
 		}
-		return nil
-	case NodeDeleteGraceful, NodeDeleteAbrupt, NodeMute:
-		return g.RemoveNode(c.Node)
 	}
-	return fmt.Errorf("%w: unknown kind %v", ErrInvalidChange, c.Kind)
+	return first, pairs
 }

@@ -28,11 +28,12 @@
 // physical addresses. A slot index is valid from the node's insertion
 // until its deletion, and may then be *recycled* for a different node —
 // so slots must never be cached across mutations. The engines exploit
-// exactly this contract: during a recovery cascade the topology is
-// frozen, so the cascade inner loops resolve IDs to slots once and then
-// work entirely in slot space (array reads, no hashing). Slot indices
-// range over [0, Slots()); free slots are observable only as
-// IDAt(i) == None.
+// exactly this contract: Change.ApplySlots validates and applies a
+// change looking up each ID it names once, and returns the slots it
+// resolved, so staging continues in slot space; during a recovery
+// cascade the topology is frozen, so the cascade inner loops work
+// entirely in slot space (array reads, no hashing). Slot indices range
+// over [0, Slots()); free slots are observable only as IDAt(i) == None.
 //
 // # The None sentinel
 //
@@ -40,7 +41,8 @@
 // slot, which is why AddNode rejects it as a real node ID
 // (ErrReservedID): a node named None would be indistinguishable from a
 // hole in the arena. Callers use it wherever an optional NodeID needs a
-// zero-like value (e.g. core.Staged.PreFlipped).
+// zero-like value (e.g. the Touch core.StageChange returns for an edge
+// change).
 //
 // # Free-list recycling
 //

@@ -183,6 +183,11 @@ type Graph struct {
 	freeBk int32            // slot-block granularity keying the partitions
 	n      int              // live node count
 	edges  int
+	// Change.ApplySlots scratch, reused across changes: a node change's
+	// neighbor slots, and the pairs that find a repeated neighbor. Mem
+	// leaves it out: it is bounded by the largest degree one change names.
+	nbrs  []int32
+	pairs []uint64
 }
 
 // New returns an empty graph with a single (unpartitioned) free-list.
@@ -281,8 +286,10 @@ func (g *Graph) Grow(n int) {
 // of the node (until it is deleted) and recycled afterwards, so they
 // must not be cached across mutations; they are the key into the arena
 // accessors (IDAt, NeighborSlots, DegreeAt, PrioAt, StateAt, LessAt).
-// This lookup is the only hashing in the structure — engines resolve
-// IDs to slots once per operation and then stay in slot space.
+// This lookup is the only hashing in the structure. Engines resolve IDs
+// to slots once per operation and then stay in slot space: a change
+// applied with Change.ApplySlots looks up each ID it names once and
+// returns the slots, so staging it needs no Index call at all.
 func (g *Graph) Index(v NodeID) (int, bool) {
 	i, ok := g.idx[v]
 	return int(i), ok
@@ -404,6 +411,12 @@ func (g *Graph) RemoveNode(v NodeID) error {
 	if !ok {
 		return fmt.Errorf("remove node %d: %w", v, ErrNoNode)
 	}
+	g.removeAt(i)
+	return nil
+}
+
+// removeAt is RemoveNode for the node in slot i.
+func (g *Graph) removeAt(i int32) {
 	// Unlinking i from each neighbor may shrink that neighbor's block and
 	// grow a smaller class's slab, but never mutates i's own list — so
 	// the adjSlots snapshot stays correct even if its backing slab is
@@ -415,12 +428,11 @@ func (g *Graph) RemoveNode(v NodeID) error {
 	g.adjReset(i)
 	g.prio[i] = 0
 	g.state[i] = 0
+	delete(g.idx, g.ids[i])
 	g.ids[i] = None
-	delete(g.idx, v)
 	k := g.freeKey(i)
 	g.free[k] = append(g.free[k], i)
 	g.n--
-	return nil
 }
 
 // AddEdge inserts the undirected edge {u,v}. Both endpoints must exist.
@@ -439,10 +451,15 @@ func (g *Graph) AddEdge(u, v NodeID) error {
 	if g.adjContains(i, j) {
 		return fmt.Errorf("add edge {%d,%d}: %w", u, v, ErrEdgeExists)
 	}
+	g.link(i, j)
+	return nil
+}
+
+// link inserts the edge between slots i and j, which must be absent.
+func (g *Graph) link(i, j int32) {
 	g.adjInsert(i, j)
 	g.adjInsert(j, i)
 	g.edges++
-	return nil
 }
 
 // RemoveEdge deletes the undirected edge {u,v}.
@@ -452,10 +469,15 @@ func (g *Graph) RemoveEdge(u, v NodeID) error {
 	if !iok || !jok || !g.adjContains(i, j) {
 		return fmt.Errorf("remove edge {%d,%d}: %w", u, v, ErrNoEdge)
 	}
+	g.unlink(i, j)
+	return nil
+}
+
+// unlink deletes the edge between slots i and j, which must be present.
+func (g *Graph) unlink(i, j int32) {
 	g.adjRemove(i, j)
 	g.adjRemove(j, i)
 	g.edges--
-	return nil
 }
 
 // Neighbors returns the neighbors of v in ascending ID order. The returned

@@ -206,14 +206,21 @@ func (e *Engine) applyWindow(cs []graph.Change, batch bool) (core.Report, error)
 	}
 	e.settle()
 
-	adj, evs := core.DeltaFromTouched(e.g, e.state, e.touched, e.feed.Active())
-	e.feed.PublishSorted(evs)
+	log := make([]core.Touch, 0, len(e.touched))
+	for v, b := range e.touched {
+		slot := int32(-1)
+		if i, ok := e.g.Index(v); ok {
+			slot = int32(i)
+		}
+		log = append(log, core.Touch{Node: v, Slot: slot, Before: b})
+	}
+	d := core.DeltaFromTouched(e.state, log, nil, &e.feed)
 	if stageErr != nil {
 		return core.Report{}, stageErr
 	}
 
 	rep := core.Report{
-		Adjustments: adj,
+		Adjustments: d.Adjustments,
 		SSize:       len(e.flipCnt),
 		Flips:       e.flips,
 		Work:        e.work,
@@ -221,7 +228,7 @@ func (e *Engine) applyWindow(cs []graph.Change, batch bool) (core.Report, error)
 	if mc := e.coll; mc != nil {
 		mc.Updates += uint64(len(cs))
 		mc.Windows++
-		mc.Adjustments += uint64(adj)
+		mc.Adjustments += uint64(d.Adjustments)
 		mc.Influence += uint64(rep.SSize)
 		mc.Flips += uint64(rep.Flips)
 		mc.TouchedSlots += uint64(len(e.touched))

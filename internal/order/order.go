@@ -65,11 +65,14 @@ func (o *Order) Attach(g *graph.Graph) {
 
 // sync mirrors v's priority into every attached arena where v currently
 // occupies a slot. Arenas where v is absent are skipped: their slot will be
-// filled by the Ensure that accompanies v's insertion there.
-func (o *Order) sync(v graph.NodeID, p Priority) {
+// filled by the Ensure that accompanies v's insertion there. If at is
+// attached, v's slot there is i, written without an index lookup.
+func (o *Order) sync(v graph.NodeID, p Priority, at *graph.Graph, i int) {
 	for _, g := range o.arenas {
-		if i, ok := g.Index(v); ok {
+		if g == at {
 			g.SetPrioAt(i, uint64(p))
+		} else if j, ok := g.Index(v); ok {
+			g.SetPrioAt(j, uint64(p))
 		}
 	}
 }
@@ -77,15 +80,20 @@ func (o *Order) sync(v graph.NodeID, p Priority) {
 // Ensure returns v's priority, drawing a fresh one if v has none yet, and
 // writes it through to the attached arenas. Engines call Ensure after the
 // node is present in their graph, so the arena lane is filled in the same
-// step (see core.StageChange).
-func (o *Order) Ensure(v graph.NodeID) Priority {
+// step.
+func (o *Order) Ensure(v graph.NodeID) Priority { return o.EnsureAt(v, nil, 0) }
+
+// EnsureAt is Ensure for a caller that holds v's slot i in arena g: g's
+// lane is written at i without resolving v again (see core.StageChange).
+// A nil or unattached g makes it Ensure.
+func (o *Order) EnsureAt(v graph.NodeID, g *graph.Graph, i int) Priority {
 	p, ok := o.prio[v]
 	if !ok {
 		p = Priority(o.rng.Uint64())
 		o.draws++
 		o.prio[v] = p
 	}
-	o.sync(v, p)
+	o.sync(v, p, g, i)
 	return p
 }
 
@@ -110,7 +118,7 @@ func (o *Order) Skip(n uint64) {
 // constructions that need a specific order.
 func (o *Order) Set(v graph.NodeID, p Priority) {
 	o.prio[v] = p
-	o.sync(v, p)
+	o.sync(v, p, nil, 0)
 }
 
 // Priority returns v's priority if assigned.
