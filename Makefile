@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-matrix benchsuite bench bench-big bench-big-smoke bench-alloc bench-smoke bench-delta bench-scaling validate validate-smoke validate-adaptive-smoke serve-smoke fuzz fuzz-smoke clean
+.PHONY: ci fmt vet build test race race-matrix benchsuite bench bench-big-smoke bench-alloc bench-smoke bench-delta bench-scaling validate validate-smoke validate-adaptive-smoke serve-smoke fuzz fuzz-smoke clean
 
 ci: fmt vet build race benchsuite bench-smoke bench-alloc validate-smoke validate-adaptive-smoke serve-smoke
 	@$(MAKE) bench-scaling || echo "bench-scaling failed (non-blocking: shared or single-core runners cannot guarantee a parallel speedup)"
@@ -96,11 +96,6 @@ serve-smoke:
 bench:
 	$(GO) run ./cmd/bench -big -out BENCH_dynmis.json
 
-# Big-graph tier alone at full scale (n = 10^5 and 10^6), regenerating
-# the committed file's big section alongside the regular tier.
-bench-big:
-	$(GO) run ./cmd/bench -big -out BENCH_dynmis.json
-
 # CI-sized big tier: n = 10^5 only, fewer steps, bounded to minutes on a
 # single core. Writes only under /tmp; `make ci` runs it non-blocking.
 bench-big-smoke:
@@ -135,11 +130,15 @@ validate:
 	$(GO) run ./cmd/validate
 
 # CI-sized validation: a tiny instrumented run across all eight engines
-# (exercising the whole metrics path end to end), then the
-# docs-freshness check — fails if docs/VALIDATION.md's schema header
-# drifts from the generator's schema version. Writes only under /tmp.
+# (exercising the whole metrics path end to end), written twice and
+# compared byte for byte — a table that varies from run to run would
+# break make validate's reproducibility — then the docs-freshness check,
+# which fails if docs/VALIDATION.md's schema header drifts from the
+# generator's schema version. Writes only under /tmp.
 validate-smoke:
 	$(GO) run ./cmd/validate -quick -out /tmp/VALIDATION_smoke.md
+	$(GO) run ./cmd/validate -quick -out /tmp/VALIDATION_smoke_again.md
+	cmp /tmp/VALIDATION_smoke.md /tmp/VALIDATION_smoke_again.md
 	$(GO) run ./cmd/validate -check
 
 # Adaptive-adversary gate: the full engine × policy matrix (all four

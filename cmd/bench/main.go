@@ -58,7 +58,7 @@
 // city-scale geometric scenarios (workload.BigScenarios) at -big-n
 // sizes through the arena-backed engines, reporting the deterministic
 // bytes/node account and the process peak RSS per run — nothing is
-// materialized, so the tier runs at n=10^6 (make bench-big). -mem
+// materialized, so the tier runs at n=10^6 (make bench). -mem
 // additionally records post-GC live-heap deltas for every run in both
 // tiers.
 package main

@@ -10,7 +10,7 @@
 //	...
 //
 // With -replay, the command instead streams a recorded dynmis/trace
-// JSONL file (made with `bench -record` or `churnsim -record`) through
+// JSONL file (made with `bench -record`) through
 // the protocol engine via Maintainer.Drive and prints the membership
 // event feed — which nodes joined, left or flipped, change by change.
 //

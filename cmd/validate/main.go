@@ -13,9 +13,17 @@
 // reported — the competitors through their band-certificate order — so
 // the tables can only ever describe correct executions.
 //
+// Four further sections (claims.go) cover the claims that no engine
+// column shows, on the baseline engines directly, each run passing its
+// engine's Check: Luby and Ghaffari recomputing per change against
+// Algorithm 2 (§1), ID-ordered greedy against the random order on
+// K_{k,k} (§1.1's lower bound), lazy priority revelation (§1.1's bit
+// complexity), and the direct implementation's |S|² flips on a fan-path
+// gadget (§4). -seed drives them too; -quick shrinks them.
+//
 // Usage:
 //
-//	validate [-sizes 100,200,400] [-steps 2000] [-seed 42] [-shards 1]
+//	validate [-sizes 100,200,400] [-steps 2000] [-seed 42] [-runs 3] [-shards 1]
 //	         [-scenarios churn,sliding-window,single-node-churn,adversarial-deletion]
 //	         [-out docs/VALIDATION.md] [-quick] [-check] [-timing]
 //	         [-adaptive-smoke]
@@ -68,8 +76,10 @@ import (
 // whenever the committed header and this constant drift apart. v3 added
 // the deterministic B/node memory column to the head-to-head table; v4
 // added the adaptive-adversary matrix (feed-observing policies driven
-// engine-in-the-loop against every engine, vs an oblivious control).
-const schemaVersion = "dynmis-validate/v4"
+// engine-in-the-loop against every engine, vs an oblivious control); v5
+// added the four baseline sections of claims.go (static recompute,
+// deterministic lower bound, bit complexity, direct blow-up).
+const schemaVersion = "dynmis-validate/v5"
 
 // schemaMarker is the exact prefix of the machine-readable header line.
 const schemaMarker = "<!-- schema: "
@@ -198,6 +208,10 @@ func main() {
 	writeHeadToHead(&doc, scenarios[0], sizes[len(sizes)-1], *steps, *seed, *shards, *timing)
 	writeAdaptive(&doc, sizes[len(sizes)-1], *steps, *seed, *runs, *shards)
 	writeQuality(&doc, *seed)
+	writeStaticBaselines(&doc, *seed, *quick)
+	writeLowerBound(&doc, *seed, *quick)
+	writeBitComplexity(&doc, *seed, *quick)
+	writeBlowup(&doc, *quick)
 	writeReadingGuide(&doc)
 
 	if err := os.WriteFile(*out, []byte(doc.String()), 0o644); err != nil {
@@ -498,6 +512,12 @@ topology change*:
   arXiv:1804.01823): "work/upd" counts adjacency entries examined per
   update by the single-machine engines; on bounded-average-degree churn
   it must stay a small constant.
+
+Four sections after the quality table measure the claims no engine
+column can show, on the baseline engines directly, each run passing its
+engine's own Check: §1's static recompute baselines, §1.1's
+deterministic lower bound and bit complexity, and §4's |S|²
+direct-implementation blow-up.
 
 `, schemaMarker, schemaVersion, seed, steps, runs, strings.Join(strs, ", "), shards)
 }

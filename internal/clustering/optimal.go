@@ -12,8 +12,9 @@ const MaxOptimalNodes = 11
 
 // OptimalCost computes the exact optimal correlation clustering cost of g
 // by enumerating all set partitions (restricted growth strings). It is the
-// ground truth for the 3-approximation experiment (E9) and only works for
-// small graphs.
+// ground truth for the 3-approximation test
+// (clustering_test.go:TestThreeApproximation) and only works for small
+// graphs.
 func OptimalCost(g *graph.Graph) (int, error) {
 	nodes := g.Nodes()
 	n := len(nodes)

@@ -10,7 +10,7 @@ import "dynmis/internal/graph"
 // Correctness is inherited from history independence: the final state
 // equals the sequential greedy MIS on the resulting graph, exactly as if
 // the changes had been applied one at a time — only the cost differs
-// (experiment E15 measures how E[|S|] scales with the batch size).
+// (batch_test.go:TestBatchAdjustmentsSublinear pins the saving).
 //
 // The changes are validated and applied in order; on a validation error
 // the engine keeps the already-staged prefix's topology, and a recovery

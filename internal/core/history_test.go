@@ -124,6 +124,62 @@ func TestHistoryIndependenceDistribution(t *testing.T) {
 	t.Logf("TV(A,B) = %.4f, TV(B,ref) = %.4f over %d runs; support %d outcomes", tv, tvRef, runs, len(keys))
 }
 
+// TestStarExpectedMISSize is §5 Example 1: on an n-node star the MIS is
+// the center alone when the center is earliest in π (probability 1/n)
+// and the n−1 leaves otherwise, so E[|MIS|] = (1/n)·1 + (1−1/n)(n−1)
+// whatever order the adversary inserted the star in, against a
+// history-dependent worst case of 1. Both insertion orders run the same
+// fixed seeds, so the test is deterministic; the tolerance is four
+// standard errors of the closed-form distribution.
+func TestStarExpectedMISSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("statistical")
+	}
+	const runs = 300
+	centerFirst := func(n int) []graph.Change {
+		cs := []graph.Change{graph.NodeChange(graph.NodeInsert, 0)}
+		for v := 1; v < n; v++ {
+			cs = append(cs, graph.NodeChange(graph.NodeInsert, graph.NodeID(v), 0))
+		}
+		return cs
+	}
+	centerLast := func(n int) []graph.Change {
+		var cs []graph.Change
+		leaves := make([]graph.NodeID, 0, n-1)
+		for v := 1; v < n; v++ {
+			cs = append(cs, graph.NodeChange(graph.NodeInsert, graph.NodeID(v)))
+			leaves = append(leaves, graph.NodeID(v))
+		}
+		return append(cs, graph.NodeChange(graph.NodeInsert, 0, leaves...))
+	}
+	for _, n := range []int{8, 32} {
+		p := 1 / float64(n)
+		want := p + (1-p)*float64(n-1)
+		se := float64(n-2) * math.Sqrt(p*(1-p)/runs)
+		for _, ins := range []struct {
+			name  string
+			build func(int) []graph.Change
+		}{{"center-first", centerFirst}, {"center-last", centerLast}} {
+			total := 0
+			for s := 0; s < runs; s++ {
+				eng := NewTemplate(42 + uint64(n*10000+s))
+				if _, err := eng.ApplyAll(ins.build(n)); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.Check(); err != nil {
+					t.Fatal(err)
+				}
+				total += len(eng.MIS())
+			}
+			mean := float64(total) / runs
+			if math.Abs(mean-want) > 4*se {
+				t.Errorf("star n=%d %s: E[|MIS|] = %.3f over %d orders, want %.3f ± %.3f", n, ins.name, mean, runs, want, 4*se)
+			}
+			t.Logf("star n=%d %s: E[|MIS|] = %.3f, predicted %.3f (worst case 1)", n, ins.name, mean, want)
+		}
+	}
+}
+
 // TestHistoryIndependencePerSeed is the exact per-seed form used
 // throughout the test suite: with the same priorities, any history ending
 // at graph G yields exactly GreedyMIS(G, π).

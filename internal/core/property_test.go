@@ -3,6 +3,7 @@ package core_test // see batch_test.go for why these tests are external
 import (
 	. "dynmis/internal/core"
 
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -170,4 +171,36 @@ func TestMISOfSortedAndComplete(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestTheorem1NodeDeletionMean measures Theorem 1 the way it is stated:
+// a FIXED graph and a FIXED topology change, expectation over the random
+// order only. Node deletion is the near-equality case (E[|S|] ≈ 1), so it
+// is the sharpest check; sampling 3000 orders gives a standard error of
+// about 0.04.
+func TestTheorem1NodeDeletionMean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("statistical")
+	}
+	const orders = 3000
+	var sum, sumSq float64
+	for seed := 0; seed < orders; seed++ {
+		eng := NewTemplate(uint64(seed))
+		if _, err := eng.ApplyAll(workload.Grid(10, 10)); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := eng.Apply(graph.NodeChange(graph.NodeDeleteGraceful, 45))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := float64(rep.SSize)
+		sum += x
+		sumSq += x * x
+	}
+	mean := sum / orders
+	stdErr := math.Sqrt((sumSq/orders - mean*mean) / (orders - 1))
+	if mean > 1.0+4*stdErr {
+		t.Errorf("E[|S|] = %.4f ± %.4f over %d orders, exceeds Theorem 1's bound of 1", mean, stdErr, orders)
+	}
+	t.Logf("E[|S|] = %.4f ± %.4f over %d orders (Theorem 1 bound: 1)", mean, stdErr, orders)
 }

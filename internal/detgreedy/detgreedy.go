@@ -4,7 +4,8 @@
 // natural deterministic algorithm" — greedy over the fixed order of node
 // IDs — maintained with the same cascade as the randomized template; on
 // the complete bipartite construction K_{k,k} it is forced to flip an
-// entire side at once, which experiment E7 measures.
+// entire side at once, which docs/VALIDATION.md's "Deterministic lower
+// bound" section measures.
 package detgreedy
 
 import (

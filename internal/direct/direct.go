@@ -8,7 +8,7 @@
 // (E[|S|] ≤ 1, Theorem 1), in both the synchronous and the asynchronous
 // model — but a node may flip several times during one recovery, so the
 // broadcast complexity can reach |S|² (§4's motivation for Algorithm 2,
-// measured by experiment E13).
+// measured in docs/VALIDATION.md's "Direct implementation" section).
 //
 // Two engines realize the algorithm:
 //

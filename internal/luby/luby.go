@@ -9,8 +9,9 @@
 // MIS, announces it, and its neighbors announce their exit. The number of
 // phases is O(log n) with high probability, and every phase costs one
 // broadcast per live node — which is exactly the Θ(log n)-rounds /
-// Θ(n log n)-broadcasts-per-change behavior experiment E8 contrasts with
-// the dynamic algorithm's O(1).
+// Θ(n log n)-broadcasts-per-change behavior that docs/VALIDATION.md's
+// "Static recompute baselines" section contrasts with the dynamic
+// algorithm's O(1).
 package luby
 
 import (

@@ -28,8 +28,8 @@ import (
 const streamRand = 0xd15_c0de
 
 // Rand returns the canonical workload rng for a seed. All the repo's
-// tools (bench, churnsim, dynmis, trace) derive their workloads from it,
-// so equal seeds mean equal workloads across tools.
+// tools (bench, validate, dynmisload) derive their workloads from it, so
+// equal seeds mean equal workloads across tools.
 func Rand(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, streamRand))
 }
@@ -369,8 +369,8 @@ func (s Scenario) ClampNodes(n int) int {
 }
 
 // Instantiate materializes the scenario at the given seed and size. It is
-// the shared warm-up/drive construction used by cmd/bench, cmd/churnsim
-// and the experiment harness.
+// the shared warm-up/drive construction used by cmd/bench, cmd/validate
+// and cmd/dynmisload.
 func (s Scenario) Instantiate(seed uint64, n, steps int) Instance {
 	n = s.ClampNodes(n)
 	rng := Rand(seed)
