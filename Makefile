@@ -106,10 +106,12 @@ bench-big-smoke:
 # report zero allocations per update once the arena and spill pool have
 # warmed up — the property that keeps long-running daemons flat — and so
 # must per-change Template.Apply with one subscriber on both warmed
-# big-tier fields (staging, cascade, accounting and feed). The engine
-# gate checks allocs/op only: its drive stream drifts in size, so the
-# arena, index and spill slab still grow now and then, which shows as a
-# few amortized B/op. The greps fail the target on a nonzero allocs/op.
+# big-tier fields (staging, cascade, accounting and feed), and a
+# write-ahead-log append (trace.Writer.Write of warmed canonical
+# changes). The engine gate checks allocs/op only: its drive stream
+# drifts in size, so the arena, index and spill slab still grow now and
+# then, which shows as a few amortized B/op. The greps fail the target on
+# a nonzero allocs/op.
 bench-alloc:
 	$(GO) test -run '^$$' -bench BenchmarkSteadyStateEdgeChurn -benchmem ./internal/graph | tee /tmp/bench_alloc.txt
 	@grep -E 'BenchmarkSteadyStateEdgeChurn.*\s0 B/op\s+0 allocs/op' /tmp/bench_alloc.txt >/dev/null \
@@ -119,6 +121,9 @@ bench-alloc:
 		grep -E "BenchmarkSteadyStateTemplateApply/$$sc.*\s0 allocs/op" /tmp/bench_alloc_engine.txt >/dev/null \
 			|| { echo "bench-alloc: Template.Apply allocates on $$sc (want 0 allocs/op)"; exit 1; }; \
 	done
+	$(GO) test -run '^$$' -bench BenchmarkWALAppend -benchmem ./trace | tee /tmp/bench_alloc_wal.txt
+	@grep -E 'BenchmarkWALAppend.*\s0 allocs/op' /tmp/bench_alloc_wal.txt >/dev/null \
+		|| { echo "bench-alloc: the WAL append allocates (want 0 allocs/op)"; exit 1; }
 
 # Paper-claims validation: regenerates docs/VALIDATION.md by driving
 # the workload scenarios through all eight engines with complexity
@@ -159,7 +164,11 @@ validate-adaptive-smoke:
 # sequential): per-window invariants, feed replay, and slot recycling;
 # the importer target checks that arbitrary edge lists never panic the
 # SNAP importer and that every accepted import round-trips
-# byte-identically. FUZZTIME scales all; fuzz-smoke is the CI size.
+# byte-identically; the codec target checks the change codec's canonical
+# fast path plus its encoding/json fallback against encoding/json alone
+# (same accepts, equal changes, same error text, byte-stable re-encoding,
+# and array bodies against the two-pass decode). FUZZTIME scales all;
+# fuzz-smoke is the CI size.
 FUZZTIME ?= 60s
 
 fuzz:
@@ -168,6 +177,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzShardedEquivalence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/shard
 	$(GO) test -fuzz=FuzzCompetitorInvariant -fuzztime=$(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz=FuzzTraceImport -fuzztime=$(FUZZTIME) -run '^$$' ./trace/importer
+	$(GO) test -fuzz=FuzzChangeCodec -fuzztime=$(FUZZTIME) -run '^$$' ./trace
 
 fuzz-smoke:
 	@$(MAKE) fuzz FUZZTIME=30s

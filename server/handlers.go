@@ -110,8 +110,10 @@ func (rt *routes) rejectReadOnly(w http.ResponseWriter) bool {
 }
 
 // handleChanges ingests one JSON body: either a single change record or an
-// array of records, in the trace wire format. The whole body is one ingest
-// batch (one durability point); the acknowledgment reports per-change
+// array of records, in the trace wire format, decoded by
+// trace.UnmarshalChanges — a body that is malformed anywhere is refused
+// whole, before any change is applied. The whole body is one ingest batch
+// (one durability point); the acknowledgment reports per-change
 // accept/reject counts.
 func (rt *routes) handleChanges(w http.ResponseWriter, r *http.Request) {
 	if rt.rejectReadOnly(w) {
@@ -122,24 +124,10 @@ func (rt *routes) handleChanges(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "read body: " + err.Error()})
 		return
 	}
-	body = bytes.TrimSpace(body)
-	var raws []json.RawMessage
-	if len(body) > 0 && body[0] == '[' {
-		if err := json.Unmarshal(body, &raws); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorDoc{Error: "decode array: " + err.Error()})
-			return
-		}
-	} else {
-		raws = []json.RawMessage{body}
-	}
-	cs := make([]dynmis.Change, 0, len(raws))
-	for i, raw := range raws {
-		c, err := trace.UnmarshalChange(raw)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("change %d: %v", i, err)})
-			return
-		}
-		cs = append(cs, c)
+	cs, err := trace.UnmarshalChanges(bytes.TrimSpace(body))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
+		return
 	}
 	res, err := rt.ingest(cs)
 	if err != nil {

@@ -17,8 +17,9 @@
 // means replaying the WAL from the empty graph reproduces the structure
 // exactly; and dynmis.RestoreAt repositions the priority stream, so
 // snapshot + WAL-tail replay is bit-identical to an uninterrupted run.
-// Recovery tolerates a torn final WAL line (a crash mid-append) by
-// truncating it — under FsyncAlways that record was never acknowledged.
+// Recovery tolerates a torn final WAL line (a crash mid-append, or a
+// final record left without its newline) by truncating it — under
+// FsyncAlways that record was never acknowledged.
 //
 // A Server is the leader role; a Replica follows a leader's event stream
 // and serves the same read surface with exact State equality. Both expose

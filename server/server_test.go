@@ -153,7 +153,7 @@ func TestCrashRecoveryMatchesUninterruptedReplay(t *testing.T) {
 
 // TestCrashRecoveryTornTail: a crash mid-append leaves a torn final line;
 // recovery truncates it and the daemon comes up at the last complete
-// record.
+// record, appends on a clean line, and boots again from that WAL.
 func TestCrashRecoveryTornTail(t *testing.T) {
 	const seed = 11
 	dir := t.TempDir()
@@ -183,7 +183,6 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
 	if !s2.Recovery().TornTail {
 		t.Fatal("torn tail not detected")
 	}
@@ -194,8 +193,90 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if got := serverState(t, s2); !maps.Equal(got, refState) {
 		t.Fatal("recovered state diverged after torn-tail truncation")
 	}
-	// The truncated WAL accepts appends again.
-	mustIngest(t, s2, []dynmis.Change{dynmis.NodeChange(dynmis.NodeInsert, 100000)})
+	// The truncated WAL accepts appends again, on a line of their own.
+	extra := dynmis.NodeChange(dynmis.NodeInsert, 100000)
+	mustIngest(t, s2, []dynmis.Change{extra})
+	s2.crash()
+	reopenMatches(t, cfg, append(cs, extra))
+}
+
+// reopenMatches boots a server on cfg's WAL and checks that it recovers
+// without a torn tail to the state and watermark of an uninterrupted run
+// of cs.
+func reopenMatches(t *testing.T, cfg Config, cs []dynmis.Change) {
+	t.Helper()
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Recovery().TornTail {
+		t.Fatal("a WAL of acknowledged appends recovered with a torn tail")
+	}
+	refState, refEvents := referenceRun(t, cfg.Seed, cs)
+	if got := s.Seq(); got != refEvents {
+		t.Fatalf("recovered watermark %d, uninterrupted run %d", got, refEvents)
+	}
+	if got := serverState(t, s); !maps.Equal(got, refState) {
+		t.Fatal("recovered state diverged from the uninterrupted run")
+	}
+}
+
+// TestCrashRecoveryUnterminatedFinalRecord: a crash can leave the WAL's
+// last record complete but without its newline (a buffer flush that
+// stopped just short of it). That record was never acknowledged, so
+// recovery treats it as torn even though it parses: it is truncated and
+// reported, and the acknowledged appends that follow start on a clean
+// line. Accepting it instead glued the next append onto its line, so a
+// second crash lost the next acknowledged change (one more ingest) or
+// refused to boot (two or more).
+func TestCrashRecoveryUnterminatedFinalRecord(t *testing.T) {
+	const seed = 13
+	cs := churnChanges(t, seed, 60, 800)
+	for _, ingests := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("ingests=%d", ingests), func(t *testing.T) {
+			walPath := filepath.Join(t.TempDir(), "wal.jsonl")
+			cfg := Config{Seed: seed, WALPath: walPath, Fsync: FsyncAlways}
+			s1, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustIngest(t, s1, cs)
+			s1.crash()
+
+			data, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(walPath, bytes.TrimSuffix(data, []byte("\n")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			kept := cs[:len(cs)-1]
+
+			s2, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s2.Recovery().TornTail {
+				t.Fatal("unterminated final record not reported as a torn tail")
+			}
+			if got := s2.Recovery().WALChanges; got != uint64(len(kept)) {
+				t.Fatalf("recovered %d WAL changes, want %d", got, len(kept))
+			}
+			refState, _ := referenceRun(t, seed, kept)
+			if got := serverState(t, s2); !maps.Equal(got, refState) {
+				t.Fatal("recovered state includes the unacknowledged record")
+			}
+			acked := slices.Clone(kept)
+			for i := range ingests {
+				c := dynmis.NodeChange(dynmis.NodeInsert, dynmis.NodeID(100000+i))
+				mustIngest(t, s2, []dynmis.Change{c})
+				acked = append(acked, c)
+			}
+			s2.crash()
+			reopenMatches(t, cfg, acked)
+		})
+	}
 }
 
 // TestSeedMismatchRefused: restarting a durable daemon under a different

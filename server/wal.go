@@ -90,9 +90,9 @@ type wal struct {
 }
 
 // recoverWAL reads the WAL at path, tolerating (and physically truncating)
-// a torn final line left by a crash mid-append, and returns the decoded
-// changes plus whether a torn tail was repaired. A missing file returns no
-// changes.
+// a torn final line left by a crash mid-append — one that does not parse
+// or lacks its newline — and returns the decoded changes plus whether a
+// torn tail was repaired. A missing file returns no changes.
 func recoverWAL(path string) (cs []dynmis.Change, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {

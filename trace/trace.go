@@ -12,9 +12,12 @@
 // The encoding is canonical — field order is fixed and no optional
 // fields are emitted when empty — so recording a replayed trace
 // reproduces the input byte for byte, and traces diff cleanly under
-// version control. Reader.All exposes a trace as an iterator assignable
-// to dynmis.Source; Tee records a Source as it is consumed, which is how
-// the cmd tools implement -record.
+// version control. One codec reads and writes every record, here and in
+// the dynmis/server wire and write-ahead log: AppendChange encodes,
+// canonical bytes decode by hand, and any other spelling encoding/json
+// accepts falls back to it and decodes the same. Reader.All exposes a
+// trace as an iterator assignable to dynmis.Source; Tee records a Source
+// as it is consumed, which is how the cmd tools implement -record.
 package trace
 
 import (
@@ -41,35 +44,15 @@ type header struct {
 	Schema string `json:"schema"`
 }
 
-// record is the wire form of one change. Kind strings are the canonical
-// ChangeKind names; node/edge fields mirror graph.Change.
-type record struct {
-	Kind string         `json:"k"`
-	U    *graph.NodeID  `json:"u,omitempty"`
-	V    *graph.NodeID  `json:"v,omitempty"`
-	Node *graph.NodeID  `json:"n,omitempty"`
-	Eds  []graph.NodeID `json:"e,omitempty"`
-}
-
-// kindNames maps the wire strings back to change kinds; the forward
-// direction is ChangeKind.String.
-var kindNames = func() map[string]graph.ChangeKind {
-	m := make(map[string]graph.ChangeKind)
-	for _, k := range []graph.ChangeKind{
-		graph.EdgeInsert, graph.EdgeDeleteGraceful, graph.EdgeDeleteAbrupt,
-		graph.NodeInsert, graph.NodeDeleteGraceful, graph.NodeDeleteAbrupt,
-		graph.NodeMute, graph.NodeUnmute,
-	} {
-		m[k.String()] = k
-	}
-	return m
-}()
+// headerLine is the header as a Writer writes it.
+const headerLine = `{"schema":"` + Schema + `"}` + "\n"
 
 // Writer encodes a change stream as JSONL. Writes are buffered; call
 // Flush (or use WriteAll/Tee, which flush) before reading the output.
 type Writer struct {
 	dst    io.Writer
 	bw     *bufio.Writer
+	buf    []byte // one encoded record, reused by every Write
 	opened bool
 	err    error
 }
@@ -88,96 +71,34 @@ func NewContinuation(w io.Writer) *Writer {
 	return &Writer{dst: w, bw: bufio.NewWriter(w), opened: true}
 }
 
-// Write appends one change. The first Write emits the header line first.
+// Write appends one change: its AppendChange record and a newline,
+// buffered together, so a Flush or Sync that writes the record through
+// writes its newline too. The first Write emits the header line first.
 // After an error every subsequent Write returns the same error.
 func (w *Writer) Write(c graph.Change) error {
-	if w.err != nil {
-		return w.err
+	if err := w.open(); err != nil {
+		return err
 	}
-	if !w.opened {
+	w.buf = append(AppendChange(w.buf[:0], c), '\n')
+	_, w.err = w.bw.Write(w.buf)
+	return w.err
+}
+
+// open emits the header line unless it was written (or, for a
+// continuation, exists) already, and reports the sticky error.
+func (w *Writer) open() error {
+	if w.err == nil && !w.opened {
 		w.opened = true
-		if err := w.line(header{Schema: Schema}); err != nil {
-			return err
-		}
+		_, w.err = w.bw.WriteString(headerLine)
 	}
-	return w.line(encodeRecord(c))
-}
-
-// encodeRecord builds the wire form of one change.
-func encodeRecord(c graph.Change) record {
-	rec := record{Kind: c.Kind.String()}
-	if c.Kind.IsEdge() {
-		u, v := c.U, c.V
-		rec.U, rec.V = &u, &v
-	} else {
-		n := c.Node
-		rec.Node = &n
-		rec.Eds = c.Edges
-	}
-	return rec
-}
-
-// decodeRecord converts a wire record back into a change.
-func decodeRecord(rec record) (graph.Change, error) {
-	kind, ok := kindNames[rec.Kind]
-	if !ok {
-		return graph.Change{}, fmt.Errorf("unknown change kind %q", rec.Kind)
-	}
-	if kind.IsEdge() {
-		if rec.U == nil || rec.V == nil {
-			return graph.Change{}, fmt.Errorf("%s without endpoints", rec.Kind)
-		}
-		return graph.EdgeChange(kind, *rec.U, *rec.V), nil
-	}
-	if rec.Node == nil {
-		return graph.Change{}, fmt.Errorf("%s without node", rec.Kind)
-	}
-	return graph.NodeChange(kind, *rec.Node, rec.Eds...), nil
-}
-
-// MarshalChange encodes one change as its canonical single-line JSON
-// record, without a trailing newline — the same bytes a Writer emits for
-// it. It is the wire form the dynmis/server ingestion endpoints accept,
-// so "a line of a trace file" and "a change on the wire" are one format.
-func MarshalChange(c graph.Change) ([]byte, error) {
-	return json.Marshal(encodeRecord(c))
-}
-
-// UnmarshalChange decodes one JSON change record (one trace line after
-// the header).
-func UnmarshalChange(data []byte) (graph.Change, error) {
-	var rec record
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return graph.Change{}, fmt.Errorf("trace: decode change: %w", err)
-	}
-	c, err := decodeRecord(rec)
-	if err != nil {
-		return graph.Change{}, fmt.Errorf("trace: decode change: %w", err)
-	}
-	return c, nil
-}
-
-// line marshals v and writes it as one newline-terminated line.
-func (w *Writer) line(v any) error {
-	data, err := json.Marshal(v)
-	if err == nil {
-		_, err = w.bw.Write(append(data, '\n'))
-	}
-	w.err = err
-	return err
+	return w.err
 }
 
 // Flush writes buffered output through, emitting the header first if
 // nothing was written yet — so an empty trace is still a valid file.
 func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	if !w.opened {
-		w.opened = true
-		if err := w.line(header{Schema: Schema}); err != nil {
-			return err
-		}
+	if err := w.open(); err != nil {
+		return err
 	}
 	w.err = w.bw.Flush()
 	return w.err
@@ -209,19 +130,24 @@ type Reader struct {
 	err          error
 	tolerateTorn bool
 	torn         bool
+	unterminated bool // the scanner returned a final line without its '\n'
 }
 
 // ReaderOption configures NewReader.
 type ReaderOption func(*Reader)
 
 // TolerateTornTail makes the Reader treat a torn final line — a last
-// record left truncated by a crash mid-write, which is not valid JSON —
-// as a clean end of trace instead of a sticky decode error; TornTail
-// reports whether one was seen. Only the *final* line is forgiven: a
-// malformed line with further lines after it is corruption, not a torn
-// tail, and still fails. Write-ahead-log recovery reads with this option,
-// because a WAL's last record is torn precisely when the crash interrupted
-// an unacknowledged append.
+// record left truncated by a crash mid-write — as a clean end of trace
+// instead of a decode error; TornTail reports whether one was seen. A
+// final line is torn when it is not valid JSON, and also when it lacks
+// its '\n' even if it parses: a Flush or Sync that wrote a record through
+// wrote its newline too (see Writer.Write), so a record without one was
+// never acknowledged, and appending after it would glue the next record
+// onto its line. Only the *final* line is forgiven: a malformed line with
+// further lines after it is corruption, not a torn tail, and still fails.
+// Write-ahead-log recovery reads with this option, because a WAL's last
+// record is torn precisely when the crash interrupted an unacknowledged
+// append.
 func TolerateTornTail() ReaderOption {
 	return func(r *Reader) { r.tolerateTorn = true }
 }
@@ -232,6 +158,7 @@ func NewReader(r io.Reader, opts ...ReaderOption) *Reader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	rd := &Reader{sc: sc}
+	sc.Split(rd.scanLines)
 	for _, o := range opts {
 		o(rd)
 	}
@@ -271,22 +198,39 @@ func (r *Reader) Read() (graph.Change, error) {
 	if err != nil {
 		return graph.Change{}, r.fail(err)
 	}
-	var rec record
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return graph.Change{}, r.tornOrFail(fmt.Errorf("trace: line %d: %v", r.line, err))
-	}
-	c, err := decodeRecord(rec)
+	c, jsonErr, err := unmarshal(data)
 	if err != nil {
-		return graph.Change{}, r.fail(fmt.Errorf("trace: line %d: %v", r.line, err))
+		err = fmt.Errorf("trace: line %d: %v", r.line, err)
+		if jsonErr {
+			// Not JSON: torn if this is the final line.
+			return graph.Change{}, r.tornOrFail(err)
+		}
+		// Well-formed, but no valid change: corruption wherever it is.
+		return graph.Change{}, r.fail(err)
 	}
 	return c, nil
 }
 
-// next returns the next non-empty line, or io.EOF.
+// scanLines is bufio.ScanLines noting when it returns the input's final
+// line without its '\n'.
+func (r *Reader) scanLines(data []byte, atEOF bool) (int, []byte, error) {
+	n, line, err := bufio.ScanLines(data, atEOF)
+	if n > 0 && data[n-1] != '\n' {
+		r.unterminated = true
+	}
+	return n, line, err
+}
+
+// next returns the next non-empty line, or io.EOF. Under TolerateTornTail
+// a final line without its '\n' is torn: next reports io.EOF instead.
 func (r *Reader) next() ([]byte, error) {
 	for r.sc.Scan() {
 		r.line++
 		if len(r.sc.Bytes()) > 0 {
+			if r.tolerateTorn && r.unterminated {
+				r.torn = true
+				return nil, io.EOF
+			}
 			return r.sc.Bytes(), nil
 		}
 	}

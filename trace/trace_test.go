@@ -253,6 +253,33 @@ func TestTornTailOnlyForgivesTheFinalLine(t *testing.T) {
 	}
 }
 
+func TestTornTailUnterminatedRecord(t *testing.T) {
+	// A final record that parses but lacks its newline was cut off before
+	// the append completed: the tolerant reader drops it as torn, the
+	// default reader decodes it.
+	cs := sample()
+	data := tornEncode(t, cs, 0)
+	if got, err := ReadAll(bytes.NewReader(data)); err != nil || !changesEqual(got, cs) {
+		t.Fatalf("default reader: got %d changes, %v", len(got), err)
+	}
+	r := NewReader(bytes.NewReader(data), TolerateTornTail())
+	var got []graph.Change
+	for c := range r.All() {
+		got = append(got, c)
+	}
+	if r.Err() != nil || !r.TornTail() {
+		t.Fatalf("tolerant reader: err %v, TornTail %v", r.Err(), r.TornTail())
+	}
+	if !changesEqual(got, cs[:len(cs)-1]) {
+		t.Fatalf("tolerant reader: want the %d-change prefix, got %d changes", len(cs)-1, len(got))
+	}
+	// The same holds for a header without its newline.
+	r = NewReader(strings.NewReader(headerLine[:len(headerLine)-1]), TolerateTornTail())
+	if _, err := r.Read(); err != io.EOF || !r.TornTail() {
+		t.Fatalf("unterminated header: err %v, TornTail %v", err, r.TornTail())
+	}
+}
+
 func TestTornHeaderTolerated(t *testing.T) {
 	for name, input := range map[string]string{
 		"empty":      "",
