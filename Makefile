@@ -45,9 +45,16 @@ benchsuite:
 # with real lock-free concurrency) at a narrow and a wide GOMAXPROCS.
 # -count=1 is load-bearing: the test cache does not key on GOMAXPROCS,
 # so without it the second width would be served from the first's cache.
+# The server's snapshot tests then run ten times at each width: the
+# snapshot writer reads its copy of the arena while ingestion mutates the
+# live one, and each run executes only some of the interleavings.
+SNAPSHOT_TESTS = Snapshot|CrashRecovery
+
 race-matrix:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/shard/... ./...
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/shard/... ./...
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run '$(SNAPSHOT_TESTS)' ./server
+	GOMAXPROCS=8 $(GO) test -race -count=10 -run '$(SNAPSHOT_TESTS)' ./server
 
 # Smoke-size benchmark: fast, but still exercises all scenarios and both
 # engines through the streaming ingestion path, plus a trace

@@ -8,7 +8,8 @@
 // With -wal the daemon is durable: every accepted change is appended to a
 // write-ahead log (in the dynmis/trace format, so any trace tool can
 // replay it) before acknowledgment, snapshots are taken every -snap-every
-// changes, and a restart — graceful or kill -9 — recovers the exact
+// changes (0: only at shutdown) and streamed to disk outside the ingest
+// lock, and a restart — graceful or kill -9 — recovers the exact
 // structure and continues the event sequence where it left off.
 //
 // With -follow the daemon is a read replica: it bootstraps from the
@@ -26,7 +27,8 @@
 // -addr-file writes the actually-bound address (useful with :0) so
 // scripts can find the daemon. SIGINT/SIGTERM shut down gracefully:
 // in-flight batches drain, subscribers receive a terminal record, the
-// WAL is fsynced and a final snapshot written.
+// WAL is fsynced, and a final snapshot is written when changes were
+// accepted since the last one.
 package main
 
 import (
@@ -51,7 +53,7 @@ func main() {
 		addrFile  = flag.String("addr-file", "", "write the bound address to this file once listening")
 		walPath   = flag.String("wal", "", "write-ahead log path (empty: in-memory, no durability)")
 		snapPath  = flag.String("snap", "", "snapshot path (default: <wal>.snap)")
-		snapEvery = flag.Int("snap-every", 10000, "snapshot after this many accepted changes (0: only on shutdown)")
+		snapEvery = flag.Int("snap-every", 10000, "snapshot after this many accepted changes (0: only on shutdown, if any changes were accepted)")
 		fsyncStr  = flag.String("fsync", "always", "WAL durability: always, interval or never")
 		fsyncIv   = flag.Duration("fsync-interval", 50*time.Millisecond, "ticker period for -fsync interval")
 		engineStr = flag.String("engine", "template", "engine: template or sharded")

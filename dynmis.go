@@ -696,6 +696,27 @@ func (m *Maintainer) Snapshot() (*Snapshot, error) {
 	return s.Snapshot(), nil
 }
 
+// Image is a frozen copy of the maintained structure, taken by
+// Maintainer.Freeze and read later: Image.WriteJSON encodes it as the
+// JSON of the Snapshot it was taken in place of, and Image.Nodes lists
+// the memberships in node order.
+type Image = core.Image
+
+// Freeze copies the current state for a later encode. It costs a few
+// slice copies of the engine's arena — no sorting, no encoding — so a
+// caller that serializes access to the maintainer can take it under its
+// lock and encode it after releasing the lock, while changes go on being
+// applied. It succeeds iff the backing engine implements the Snapshotter
+// capability; otherwise it returns an error matching
+// ErrSnapshotUnsupported.
+func (m *Maintainer) Freeze() (*Image, error) {
+	s, ok := m.impl.(Snapshotter)
+	if !ok {
+		return nil, fmt.Errorf("%w: engine %v", ErrSnapshotUnsupported, m.engine)
+	}
+	return s.Freeze(), nil
+}
+
 // Restore rebuilds a Maintainer from a snapshot; fresh nodes inserted
 // afterwards draw priorities from a stream seeded by seed. Tampered
 // snapshots (violating the MIS invariant) are rejected.

@@ -31,8 +31,8 @@ var (
 	// (currently EngineAsyncDirect).
 	ErrMutedUnsupported = core.ErrMuteUnsupported
 	// ErrSnapshotUnsupported: the engine does not implement the
-	// Snapshotter capability (returned by Maintainer.Snapshot and
-	// Restore for the message-passing engines).
+	// Snapshotter capability (returned by Maintainer.Snapshot,
+	// Maintainer.Freeze and Restore for the message-passing engines).
 	ErrSnapshotUnsupported = errors.New("dynmis: engine does not support snapshots")
 	// ErrInvalidOption: an Option carried a value no engine can honor
 	// (negative shard count or window, WithShards/WithWindow off

@@ -43,9 +43,12 @@ type Engine interface {
 // Snapshotter is the optional persistence capability: an Engine that can
 // serialize its maintained structure implements it. Engines whose state
 // is per-node network knowledge (the message-passing realizations) do
-// not; the template and sharded engines do.
+// not; the template and sharded engines do. Snapshot builds the image;
+// Freeze only copies it, for a caller that encodes it later, outside
+// whatever lock guards the engine (Image.WriteJSON).
 type Snapshotter interface {
 	Snapshot() *Snapshot
+	Freeze() *Image
 }
 
 // ErrMuteUnsupported is the sentinel for engines that do not model the

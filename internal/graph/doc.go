@@ -70,4 +70,13 @@
 // Grow changes no observable state; it exists so a known-size warm-up
 // phase neither reallocates the arena nor incrementally rehashes the
 // table (the facade exposes it as Maintainer.Grow).
+//
+// # Frozen copies
+//
+// Freeze copies the lanes — IDs, adjacency headers with the spill slabs
+// they point into, priorities, memberships — into a read-only Frozen
+// with plain slice copies. Unlike Clone it rebuilds no index and keeps no
+// free-list, so it is cheap enough to take under a lock that must stay
+// short and to read after the lock is released, while the graph keeps
+// changing (internal/core's Image is built on it).
 package graph

@@ -52,18 +52,21 @@ type adjacency struct {
 	inline [inlineDegree]int32
 }
 
+// slots returns a's neighbor slots in ascending slot order: inline, or in
+// the block of p that a.ref names.
+func (a *adjacency) slots(p *spillPool) []int32 {
+	if a.ref != 0 {
+		return p.block(a.ref)[:a.deg]
+	}
+	return a.inline[:a.deg]
+}
+
 // adjSlots returns slot i's neighbor slots in ascending slot order. The
 // returned slice aliases the arena and is valid only until the next
 // mutation of slot i's own list (mutating other slots' lists may retire
 // the backing slab, but the returned snapshot stays intact and current —
 // RemoveNode relies on this while unlinking a victim's neighbors).
-func (g *Graph) adjSlots(i int32) []int32 {
-	a := &g.adj[i]
-	if a.ref != 0 {
-		return g.pool.block(a.ref)[:a.deg]
-	}
-	return a.inline[:a.deg]
-}
+func (g *Graph) adjSlots(i int32) []int32 { return g.adj[i].slots(&g.pool) }
 
 // adjContains reports whether j is a neighbor slot of i.
 func (g *Graph) adjContains(i, j int32) bool {

@@ -27,10 +27,13 @@
 package server
 
 import (
-	"cmp"
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"iter"
+	"maps"
 	"net/http"
 	"os"
 	"slices"
@@ -69,7 +72,8 @@ type Config struct {
 	// SnapPath is the snapshot file; empty defaults to WALPath + ".snap".
 	SnapPath string
 	// SnapEvery takes a snapshot after this many accepted changes
-	// (0 disables periodic snapshots; one is still written on shutdown).
+	// (0 disables periodic snapshots). Close writes a final one whenever
+	// changes were accepted since the last snapshot on disk.
 	SnapEvery int
 	// Fsync is the WAL durability policy (default FsyncAlways).
 	Fsync FsyncPolicy
@@ -127,7 +131,9 @@ type RecoveryInfo struct {
 
 // Server is the leader daemon core: engine + WAL + snapshots + event hub,
 // exposed as an http.Handler (see routes in handlers.go). All engine
-// access is serialized by mu; the event fan-out runs outside it.
+// access is serialized by mu; the event fan-out, the snapshot writer and
+// the rendering of /v1/state and /v1/mis run outside it, on copies taken
+// under it.
 type Server struct {
 	cfg      Config
 	hub      *hub
@@ -135,18 +141,28 @@ type Server struct {
 	now      func() time.Time
 	recovery RecoveryInfo
 
-	mu        sync.Mutex
-	m         *dynmis.Maintainer
-	wal       *wal
-	baseSeq   uint64 // logical seq of the restored snapshot (rebase offset)
-	applied   uint64 // total changes in the WAL (== accepted since birth)
-	sinceSnap int
-	closed    bool
-	broken    error // a WAL write failure poisons the server
+	mu      sync.Mutex
+	m       *dynmis.Maintainer
+	wal     *wal
+	baseSeq uint64 // logical seq of the restored snapshot (rebase offset)
+	applied uint64 // total changes in the WAL (== accepted since birth)
+	// WAL positions of the newest snapshot capture and of the newest
+	// snapshot on disk. Both start at the boot position: the tail replayed
+	// at boot is already in the WAL, so a boot and a stop write nothing.
+	captured, saved uint64
+	writing         bool // a snapshot write is in flight (at most one)
+	closed          bool
+	broken          error // a WAL write failure poisons the server
 
-	accepted  atomic.Uint64
-	rejected  atomic.Uint64
-	snapshots atomic.Uint64
+	// snapDone tracks the in-flight snapshot write. snapWrap, set only by
+	// tests, wraps the snapshot file the writer streams into.
+	snapDone sync.WaitGroup
+	snapWrap func(io.Writer) io.Writer
+
+	accepted   atomic.Uint64
+	rejected   atomic.Uint64
+	snapshots  atomic.Uint64
+	snapErrors atomic.Uint64
 }
 
 // Open builds a Server, recovering from the configured WAL and snapshot
@@ -221,6 +237,7 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s.recovery.TailReplayed = uint64(len(tail))
 	s.applied = uint64(len(walChanges))
+	s.captured, s.saved = s.applied, s.applied
 	if err := s.m.Check(); err != nil {
 		return nil, fmt.Errorf("server: recovered structure is invalid: %w", err)
 	}
@@ -307,7 +324,9 @@ const maxIngestErrors = 16
 // individually without poisoning the batch; rejected changes never reach
 // the WAL, which keeps the log replayable end to end. A WAL write failure
 // is fatal: the server refuses further ingestion rather than acknowledge
-// what it cannot make durable.
+// what it cannot make durable. A batch that crosses the -snap-every
+// boundary starts a snapshot, whose outcome never reaches the batch's
+// acknowledgment (see startSnapshotLocked).
 func (s *Server) Ingest(cs []dynmis.Change) (IngestResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -352,50 +371,104 @@ func (s *Server) Ingest(cs []dynmis.Change) (IngestResult, error) {
 	s.rejected.Add(uint64(res.Rejected))
 	res.Seq = s.hub.watermark()
 
-	if s.cfg.SnapEvery > 0 {
-		s.sinceSnap += res.Accepted
-		if s.sinceSnap >= s.cfg.SnapEvery {
-			if err := s.writeSnapshotLocked(); err != nil {
-				return res, err
-			}
-		}
+	if s.wal != nil && s.cfg.SnapEvery > 0 && !s.writing &&
+		s.applied-s.captured >= uint64(s.cfg.SnapEvery) {
+		s.startSnapshotLocked()
 	}
 	return res, nil
 }
 
-// writeSnapshotLocked captures the engine image plus its logical position
-// and atomically replaces the snapshot file. The WAL is fsynced first so
-// the snapshot's Applied position is never ahead of the durable log.
-func (s *Server) writeSnapshotLocked() error {
-	if s.wal == nil {
-		return nil
-	}
+// capture is a snapshot's content, taken under the ingest lock: its place
+// in the logical history and a frozen copy of the engine's arena.
+type capture struct {
+	seq, applied, draws uint64
+	img                 *dynmis.Image
+}
+
+// captureLocked is all of a snapshot that needs the ingest lock. The WAL
+// is fsynced first, so the capture's Applied position is never ahead of
+// the durable log; then the cursors are read and the arena lanes copied.
+// Nothing is sorted or encoded here.
+func (s *Server) captureLocked() (capture, error) {
 	if err := s.wal.sync(); err != nil {
 		s.broken = err
+		return capture{}, err
+	}
+	img, err := s.m.Freeze()
+	if err != nil {
+		return capture{}, fmt.Errorf("server: snapshot: %w", err)
+	}
+	s.captured = s.applied
+	return capture{seq: s.hub.watermark(), applied: s.applied, draws: s.m.PriorityDraws(), img: img}, nil
+}
+
+// startSnapshotLocked captures a snapshot and hands it to the writer,
+// which streams it to disk without the ingest lock. At most one write is
+// in flight, so at most one copy is alive, and captures are taken in
+// order, so an older image never replaces a newer one. A trigger that
+// finds a write in flight is taken by the first batch after it lands. A
+// failed capture or write is counted on /metricsz (snapshot_errors), not
+// returned to the batch that triggered it — that batch is applied and
+// durable — and the next trigger retries.
+func (s *Server) startSnapshotLocked() {
+	c, err := s.captureLocked()
+	if err != nil {
+		s.snapErrors.Add(1)
+		return
+	}
+	s.writing = true
+	s.snapDone.Add(1)
+	go func() {
+		defer s.snapDone.Done()
+		_ = s.writeSnapshot(c) // counted on /metricsz; the next trigger retries
+	}()
+}
+
+// writeSnapshot is the snapshot writer: it streams a capture to disk
+// without the ingest lock, then records the outcome — the WAL position
+// now on disk, and the snapshots or snapshot_errors count.
+func (s *Server) writeSnapshot(c capture) error {
+	err := s.streamSnapshot(c)
+	s.mu.Lock()
+	s.writing = false
+	if err == nil {
+		s.saved = c.applied
+	}
+	s.mu.Unlock()
+	if err != nil {
+		s.snapErrors.Add(1)
 		return err
 	}
-	img, err := s.m.Snapshot()
-	if err != nil {
-		return fmt.Errorf("server: snapshot: %w", err)
-	}
-	snap := snapFile{
-		Schema:   SnapshotSchema,
-		Seed:     s.cfg.Seed,
-		Seq:      s.hub.watermark(),
-		Applied:  s.applied,
-		Draws:    s.m.PriorityDraws(),
-		Snapshot: img,
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("server: encode snapshot: %w", err)
-	}
+	s.snapshots.Add(1)
+	return nil
+}
+
+// streamSnapshot writes a capture into the snapshot file's tmp sibling
+// through a bufio.Writer — the envelope here, the engine image by
+// Image.WriteJSON, so the file is json.Marshal of a snapFile byte for
+// byte without that document ever being built — then fsyncs it and
+// atomically renames it over the snapshot file.
+func (s *Server) streamSnapshot(c capture) error {
 	tmp := s.cfg.SnapPath + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)
 	}
-	if _, err = f.Write(data); err == nil {
+	var w io.Writer = f
+	if s.snapWrap != nil {
+		w = s.snapWrap(f)
+	}
+	// A bufio.Writer's first error sticks: Flush reports it for every
+	// write before it.
+	bw := bufio.NewWriterSize(w, 64<<10)
+	fmt.Fprintf(bw, `{"schema":%q,"seed":%d,"seq":%d,"applied":%d,"draws":%d,"snapshot":`,
+		SnapshotSchema, s.cfg.Seed, c.seq, c.applied, c.draws)
+	err = c.img.WriteJSON(bw)
+	bw.WriteByte('}')
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -408,32 +481,56 @@ func (s *Server) writeSnapshotLocked() error {
 	if err := os.Rename(tmp, s.cfg.SnapPath); err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)
 	}
-	s.snapshots.Add(1)
-	s.sinceSnap = 0
 	return nil
+}
+
+// members captures the membership configuration and the watermark it is
+// consistent with under the ingest lock, and returns it for reading after
+// the lock is released, in ascending node order: from a frozen image on
+// the engines that have one, else from the engine's membership map, which
+// is a copy already.
+func (s *Server) members() (iter.Seq2[dynmis.NodeID, dynmis.Membership], int, uint64) {
+	s.mu.Lock()
+	seq := s.hub.watermark()
+	img, err := s.m.Freeze()
+	var state map[dynmis.NodeID]dynmis.Membership
+	if err != nil {
+		state = s.m.State()
+	}
+	s.mu.Unlock()
+	if img != nil {
+		return img.Nodes(), img.NodeCount(), seq
+	}
+	return func(yield func(dynmis.NodeID, dynmis.Membership) bool) {
+		for _, v := range slices.Sorted(maps.Keys(state)) {
+			if !yield(v, state[v]) {
+				return
+			}
+		}
+	}, len(state), seq
 }
 
 // stateSnapshot renders the full membership configuration with the
 // watermark it is consistent with.
 func (s *Server) stateSnapshot() ([]StateNode, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	state := s.m.State()
-	nodes := make([]StateNode, 0, len(state))
-	for v, m := range state {
-		nodes = append(nodes, StateNode{Node: v, InMIS: m == dynmis.In})
+	nodes, n, seq := s.members()
+	out := make([]StateNode, 0, n)
+	for v, m := range nodes {
+		out = append(out, StateNode{Node: v, InMIS: m == dynmis.In})
 	}
-	slices.SortFunc(nodes, func(a, b StateNode) int {
-		return cmp.Compare(a.Node, b.Node)
-	})
-	return nodes, s.hub.watermark()
+	return out, seq
 }
 
 // misSnapshot renders the sorted MIS with its watermark.
 func (s *Server) misSnapshot() ([]dynmis.NodeID, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.MIS(), s.hub.watermark()
+	nodes, _, seq := s.members()
+	mis := []dynmis.NodeID{}
+	for v, m := range nodes {
+		if m == dynmis.In {
+			mis = append(mis, v)
+		}
+	}
+	return mis, seq
 }
 
 // Metricsz is the /metricsz document: the daemon's serving counters
@@ -447,6 +544,9 @@ type Metricsz struct {
 	WALBytes        int64  `json:"wal_bytes"`
 	WALFsyncs       uint64 `json:"wal_fsyncs"`
 	Snapshots       uint64 `json:"snapshots"`
+	// SnapshotErrors counts snapshots that failed to reach the disk; the
+	// next trigger retries.
+	SnapshotErrors uint64 `json:"snapshot_errors"`
 
 	EventsPublished    uint64 `json:"events_published"`
 	EventsEvicted      uint64 `json:"events_evicted"`
@@ -474,6 +574,7 @@ func (s *Server) Metricsz() Metricsz {
 		ChangesAccepted:    s.accepted.Load(),
 		ChangesRejected:    s.rejected.Load(),
 		Snapshots:          s.snapshots.Load(),
+		SnapshotErrors:     s.snapErrors.Load(),
 		EventsPublished:    published,
 		EventsEvicted:      evicted,
 		Subscribers:        subsNow,
@@ -496,11 +597,12 @@ func (s *Server) Metricsz() Metricsz {
 	return mz
 }
 
-// Close shuts the server down gracefully: in-flight ingestion finishes
-// (further calls get ErrClosed), a final snapshot is written when
-// periodic snapshots are configured, the WAL is fsynced and closed, and
-// every subscriber stream drains its backlog and ends with a terminal
-// record. Close is idempotent.
+// Close shuts the server down gracefully: further ingestion gets
+// ErrClosed, the in-flight snapshot write (if any) lands, a final snapshot
+// is written when changes were accepted since the last one on disk, the
+// WAL is fsynced and closed, and every subscriber stream drains its
+// backlog and ends with a terminal record. Close returns the final
+// snapshot's error. It is idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -508,9 +610,16 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	var err error
-	if s.cfg.SnapEvery > 0 && s.sinceSnap > 0 && s.broken == nil {
-		err = s.writeSnapshotLocked()
+	s.mu.Unlock()
+	s.snapDone.Wait()
+
+	s.mu.Lock()
+	var (
+		final capture
+		err   error
+	)
+	if s.wal != nil && s.broken == nil && s.applied > s.saved {
+		final, err = s.captureLocked()
 	}
 	if s.wal != nil {
 		if cerr := s.wal.close(); err == nil {
@@ -519,6 +628,11 @@ func (s *Server) Close() error {
 		s.wal = nil
 	}
 	s.mu.Unlock()
+	if final.img != nil {
+		if werr := s.writeSnapshot(final); err == nil {
+			err = werr
+		}
+	}
 	s.hub.close()
 	return err
 }

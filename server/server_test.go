@@ -48,7 +48,7 @@ func mustIngest(t *testing.T, s *Server, cs []dynmis.Change) IngestResult {
 
 // crash simulates a kill -9: the WAL file descriptor is closed without
 // flushing the userspace buffer, the fsync loop is stopped, and nothing
-// else is cleaned up.
+// else is cleaned up — an in-flight snapshot write is not waited for.
 func (s *Server) crash() {
 	s.mu.Lock()
 	s.closed = true
@@ -63,6 +63,9 @@ func (s *Server) crash() {
 	s.mu.Unlock()
 	s.hub.close()
 }
+
+// awaitSnapshot waits until no snapshot write is in flight.
+func (s *Server) awaitSnapshot() { s.snapDone.Wait() }
 
 // referenceRun replays the changes into a fresh maintainer and returns
 // its state plus the number of events it published — the uninterrupted
@@ -115,6 +118,7 @@ func TestCrashRecoveryMatchesUninterruptedReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustIngest(t, s1, cs[:cut])
+	s1.awaitSnapshot()
 	preSeq := s1.Seq()
 	s1.crash()
 
@@ -659,7 +663,7 @@ func TestMetricszShape(t *testing.T) {
 	}
 	for _, key := range []string{
 		"role", "seq", "changes_accepted", "changes_rejected",
-		"wal_bytes", "wal_fsyncs", "snapshots",
+		"wal_bytes", "wal_fsyncs", "snapshots", "snapshot_errors",
 		"events_published", "events_evicted",
 		"subscribers", "subscribers_total", "subscribers_dropped",
 		"engine", "engine_per_update", "memory",
